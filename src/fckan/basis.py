@@ -3,9 +3,9 @@
 Two families: elementwise transcendentals (relu, sin, cos, arctan, tan, tanh,
 DoG) and grid-expanding bases that map one input to a vector of values
 (B-splines via Cox-de Boor over a uniform extended knot vector, Gaussian
-RBFs on uniformly spaced centers). Scalar entry points here route through the
-active kernel backend; the array paths used by models and the benchmark live
-in fckan.kernels directly.
+RBFs on uniformly spaced centers). Scalar entry points here route through
+fckan.kernels; the array paths used by models and the benchmark call it
+directly.
 """
 
 from dataclasses import dataclass

@@ -10,6 +10,7 @@ elementwise functions.
 """
 
 import csv
+import ctypes
 import os
 import platform
 import time
@@ -34,7 +35,6 @@ class BenchResult:
     n: int
     checksum: float
     threads: int = 1
-    backend: str = kernels.BACKEND
 
 
 def _bench_kind(name: str) -> BasisKind:
@@ -45,23 +45,22 @@ def _bench_kind(name: str) -> BasisKind:
     return BasisKind.elementwise(name)
 
 
-def _make_pass(kind: BasisKind, n: int, impl):
+def _make_pass(kind: BasisKind, n: int):
     # uniform inputs over the function's natural domain; tan stays clear of
     # its poles
     lo, hi = (-1.5, 1.5) if kind.name == "tan" else (-1.0, 1.0)
     x = np.random.default_rng(0).uniform(lo, hi, size=n)
     if kind.is_elementwise:
         x32 = x.astype(np.float32)
-        return lambda: impl.unary_values(kind.name, x32)
+        return lambda: kernels.unary_values(kind.name, x32)
     spec = grid_spec(kind)
     x64 = x.astype(np.float64)
     if kind.name == "bspline":
-        return lambda: impl.bspline_values(x64, spec.centers, kind.spline_order)
-    return lambda: impl.rbf_values(x64, spec.centers, spec.bandwidth)
+        return lambda: kernels.bspline_values(x64, spec.centers, kind.spline_order)
+    return lambda: kernels.rbf_values(x64, spec.centers, spec.bandwidth)
 
 
-def bench_function(kind, n: int = 1_000_000, repeats: int = 10,
-                   impl=None) -> BenchResult:
+def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
     """Time one function over n elements, repeats times plus a warm-up."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -70,8 +69,7 @@ def bench_function(kind, n: int = 1_000_000, repeats: int = 10,
     kind = _bench_kind(kind) if isinstance(kind, str) else kind
     if kind.name not in BENCH_KINDS:
         raise ValueError(f"benchmark covers {BENCH_KINDS}, got {kind.name!r}")
-    impl = impl or kernels.load_backend(kernels.BACKEND)
-    one_pass = _make_pass(kind, n, impl)
+    one_pass = _make_pass(kind, n)
     out = one_pass()  # warm-up, untimed
     times = np.empty(repeats, dtype=np.float64)
     for r in range(repeats):
@@ -85,15 +83,32 @@ def bench_function(kind, n: int = 1_000_000, repeats: int = 10,
         repeats=repeats,
         n=n,
         checksum=float(np.asarray(out, dtype=np.float64).sum()),
-        backend=impl.BACKEND_NAME,
     )
 
 
-def bench_suite(n: int = 1_000_000, repeats: int = 10, impl=None):
+def bench_suite(n: int = 1_000_000, repeats: int = 10):
     """All eight functions under identical conditions, slowest first."""
-    results = [bench_function(k, n=n, repeats=repeats, impl=impl) for k in BENCH_KINDS]
+    results = [bench_function(k, n=n, repeats=repeats) for k in BENCH_KINDS]
     results.sort(key=lambda r: r.mean_us, reverse=True)
     return results
+
+
+def blas_threads() -> int:
+    """Thread count of the OpenBLAS that NumPy loaded; 0 if unknown."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+        for path in libs:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "openblas_get_num_threads64_", "openblas_get_num_threads"):
+                fn = getattr(lib, name, None)
+                if fn is not None:
+                    fn.argtypes, fn.restype = [], ctypes.c_int
+                    return int(fn())
+    except OSError:  # no /proc (not Linux) or an unloadable library
+        pass
+    return 0
 
 
 def machine_meta() -> dict:
@@ -103,8 +118,8 @@ def machine_meta() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": os.cpu_count(),
-        "kernel_backend": kernels.BACKEND,
-        "threads": 1,
+        "kernel_backend": kernels.backend(),
+        "threads": blas_threads(),
     }
 
 
@@ -127,35 +142,3 @@ def format_table(results) -> str:
         )
     return "\n".join(lines)
 
-
-def compare_backends(n: int = 100_000, repeats: int = 5):
-    """Run the suite on every available backend; returns {backend: results}.
-
-    Shows what the compiled scalar loops buy over the vectorized NumPy
-    fallback on this machine.
-    """
-    out = {}
-    for name in kernels.available_backends():
-        impl = kernels.load_backend(name)
-        out[name] = bench_suite(n=n, repeats=repeats, impl=impl)
-    return out
-
-
-def format_comparison(per_backend) -> str:
-    backends = list(per_backend)
-    by_fn = {}
-    for b in backends:
-        for r in per_backend[b]:
-            by_fn.setdefault(r.function, {})[b] = r
-    header = f"{'function':<10}" + "".join(f" {b + ' us':>16}" for b in backends)
-    if len(backends) == 2:
-        header += f" {'speedup':>9}"
-    lines = [header]
-    order = sorted(by_fn, key=lambda f: -by_fn[f][backends[0]].mean_us)
-    for fn in order:
-        row = f"{fn:<10}" + "".join(f" {by_fn[fn][b].mean_us:>16.3f}" for b in backends)
-        if len(backends) == 2:
-            a, b = (by_fn[fn][x].mean_us for x in backends)
-            row += f" {b / a:>8.2f}x"
-        lines.append(row)
-    return "\n".join(lines)

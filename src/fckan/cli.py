@@ -16,15 +16,8 @@ import sys
 import time
 import urllib.request
 
-from . import __version__, kernels
-from .bench import (
-    bench_suite,
-    compare_backends,
-    format_comparison,
-    format_table,
-    machine_meta,
-    write_csv,
-)
+from . import __version__
+from .bench import bench_suite, format_table, machine_meta, write_csv
 from .basis import BasisKind
 from .data import DATASET_NAMES, SPLIT_FILES, load_dataset
 from .models import (
@@ -129,16 +122,19 @@ def _model_config(args, parser) -> ModelConfig:
 
 def cmd_train(args, parser) -> int:
     model_cfg = _model_config(args, parser)
-    train_cfg = TrainConfig(
-        dataset=args.dataset,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr0=args.lr,
-        gamma=args.gamma,
-        weight_decay=args.weight_decay,
-        runs=args.runs,
-        seeds=args.seeds,
-    )
+    try:
+        train_cfg = TrainConfig(
+            dataset=args.dataset,
+            epochs=args.epochs,
+            batch_size=args.batch,
+            lr0=args.lr,
+            gamma=args.gamma,
+            weight_decay=args.weight_decay,
+            runs=args.runs,
+            seeds=args.seeds,
+        )
+    except ValueError as e:
+        parser.error(str(e))
     directory = _resolve_data_dir(args.data_dir, args.dataset)
     splits = load_dataset(args.dataset, directory)
     log = None if args.quiet else lambda s: print(s)
@@ -156,21 +152,9 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    if args.compare:
-        per_backend = compare_backends(n=args.n, repeats=args.repeats)
-        print(f"backends: {', '.join(per_backend)}  (n={args.n}, repeats={args.repeats})")
-        print(format_comparison(per_backend))
-        return 0
-    impl = None
-    if args.backend != "auto":
-        try:
-            impl = kernels.load_backend(args.backend)
-        except ImportError:
-            print(f"kernel backend {args.backend!r} is not built", file=sys.stderr)
-            return 1
-    results = bench_suite(n=args.n, repeats=args.repeats, impl=impl)
+    results = bench_suite(n=args.n, repeats=args.repeats)
     meta = machine_meta()
-    print(f"n={args.n} repeats={args.repeats} backend={results[0].backend}")
+    print(f"n={args.n} repeats={args.repeats}")
     print(f"machine: {meta['platform']} ({meta['cpus']} cpus)")
     print(format_table(results))
     if args.out:
@@ -279,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=1_000_000)
     b.add_argument("--repeats", type=int, default=10)
     b.add_argument("--out", default=None, help="CSV path")
-    b.add_argument("--backend", choices=("auto", "compiled", "python"), default="auto")
-    b.add_argument("--compare", action="store_true",
-                   help="compare compiled and python kernels instead")
 
     p = sub.add_parser("params", help="audit parameter counts")
     add_model_flags(p, widths=True)

@@ -306,27 +306,33 @@ def save_model(model: Model, path):
             f.write(p.tensor.data.astype("<f4", copy=False).tobytes())
 
 
+def _read_exact(f, size: int, what: str) -> bytes:
+    raw = f.read(size)
+    if len(raw) != size:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {size} bytes, got {len(raw)}")
+    return raw
+
+
 def load_model(path) -> Model:
     """Rebuild a model from a checkpoint written by save_model."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic: {magic!r}")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version: {version}")
-        (n,) = struct.unpack("<I", f.read(4))
-        config = ModelConfig.from_dict(json.loads(f.read(n).decode("utf-8")))
+        (n,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
+        blob = _read_exact(f, n, "config JSON")
+        config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
         model = build_model(config)
         for p in model.params:
-            rows, cols = struct.unpack("<II", f.read(8))
+            rows, cols = struct.unpack("<II", _read_exact(f, 8, f"{p.name} shape"))
             if (rows, cols) != p.tensor.shape:
                 raise CheckpointError(
                     f"{p.name}: stored shape {(rows, cols)} != expected {p.tensor.shape}"
                 )
-            raw = f.read(rows * cols * 4)
-            if len(raw) != rows * cols * 4:
-                raise CheckpointError(f"{p.name}: truncated tensor data")
+            raw = _read_exact(f, rows * cols * 4, f"{p.name} data")
             p.tensor.data = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
         if f.read(1):
             raise CheckpointError("trailing bytes after final tensor")

@@ -111,7 +111,8 @@ class Tape:
             raise TapeError("tape already swept; call reset() first")
         if loss.data.shape != (1, 1):
             raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
-        if loss.node_id is None or self._nodes[loss.node_id].output is not loss:
+        if (loss.node_id is None or loss.node_id >= len(self._nodes)
+                or self._nodes[loss.node_id].output is not loss):
             raise TapeError("loss was not produced on this tape")
         self._spent = True
         loss.grad = np.ones((1, 1), dtype=np.float32)

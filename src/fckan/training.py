@@ -42,6 +42,12 @@ class TrainConfig:
         if self.epochs is None:
             object.__setattr__(self, "epochs", default_epochs(self.dataset))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.runs < 1:
+            raise ValueError(f"runs must be >= 1, got {self.runs}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if len(self.seeds) < self.runs:
             raise ValueError(f"{self.runs} runs need {self.runs} seeds, got {self.seeds}")
 

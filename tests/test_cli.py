@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import require_dataset
 from fckan.cli import main
 from fckan.models import ModelConfig
@@ -82,17 +84,6 @@ class TestBench:
         assert len(lines) == 9
         assert all(",1000," in ln for ln in lines[1:])
 
-    def test_compare_mode(self, capsys):
-        rc = main(["bench", "--n", "1000", "--repeats", "3", "--compare"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "bspline" in out
-
-    def test_explicit_backend(self, capsys):
-        rc = main(["bench", "--n", "1000", "--repeats", "3", "--backend", "python"])
-        assert rc == 0
-        assert "backend=python" in capsys.readouterr().out
-
 
 class TestReport:
     def test_renders_aggregate_cells(self, tmp_path, capsys):
@@ -150,6 +141,14 @@ class TestTrainCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "train-images-idx3-ubyte" in err and "fetch-data" in err
+
+    @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--batch", "0"),
+                                            ("--epochs", "-1")])
+    def test_invalid_train_config_is_usage_error(self, tmp_path, capsys, flag, value):
+        # exits 2 before looking for data; the empty data dir would give 1
+        rc = main(["train", "--model", "mlp", "--data-dir", str(tmp_path), flag, value])
+        assert rc == 2
+        assert "must be >=" in capsys.readouterr().err
 
     def test_zero_epoch_run_writes_schema_complete_record(self, tmp_path, capsys):
         data_dir = require_dataset("mnist")

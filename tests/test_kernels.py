@@ -1,84 +1,70 @@
-"""Cross-checks between the compiled kernels and the NumPy fallback."""
+"""The NumPy kernels: local-support B-splines against the dense oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dense_bspline
 from fckan import kernels
 from fckan.basis import BasisKind, grid_spec
 
-compiled_missing = "compiled" not in kernels.available_backends()
-needs_compiled = pytest.mark.skipif(
-    compiled_missing, reason="compiled kernel extension not built"
-)
-
-UNARY = ("relu", "sin", "cos", "arctan", "tan", "tanh", "dog", "silu")
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
-@pytest.fixture(scope="module")
-def backends():
-    return kernels.load_backend("python"), kernels.load_backend("compiled")
+@st.composite
+def grid_and_inputs(draw, order):
+    g = draw(st.integers(1, 8))
+    lo = draw(st.floats(-100.0, 100.0))
+    hi = lo + draw(st.floats(1e-3, 100.0))
+    knots = grid_spec(BasisKind.bspline(g, order, lo, hi)).centers
+    span = knots[-1] - knots[0]
+
+    def floats(a, b):
+        return st.lists(st.floats(a, b), min_size=1, max_size=20)
+
+    # every draw holds the knots themselves, points beyond both ends of the
+    # knot span, points inside it, and the non-finite values
+    return knots, np.concatenate([
+        knots,
+        draw(floats(knots[0] - 10 * span, knots[0])),
+        draw(floats(knots[-1], knots[-1] + 10 * span)),
+        draw(floats(knots[0], knots[-1])),
+        NON_FINITE,
+    ])
 
 
-@needs_compiled
-@pytest.mark.parametrize("name", UNARY)
-def test_unary_backends_agree(backends, name):
-    py, cy = backends
-    x = np.random.default_rng(0).uniform(-1.5, 1.5, 10_000).astype(np.float32)
-    np.testing.assert_allclose(
-        py.unary_values(name, x), cy.unary_values(name, x), rtol=1e-5, atol=1e-6
-    )
-    np.testing.assert_allclose(
-        py.unary_derivs(name, x), cy.unary_derivs(name, x), rtol=1e-5, atol=1e-6
-    )
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bspline_matches_dense_oracle(order, data):
+    knots, x = data.draw(grid_and_inputs(order))
+    for ours, oracle in ((kernels.bspline_values, dense_bspline.bspline_values),
+                         (kernels.bspline_derivs, dense_bspline.bspline_derivs)):
+        got, want = ours(x, knots, order), oracle(x, knots, order)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == (x.shape[0], knots.shape[0] - order - 1)
+        # equal_nan also requires NaN in exactly the same places
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, equal_nan=True)
 
 
-@needs_compiled
-def test_bspline_backends_agree(backends):
-    py, cy = backends
-    kind = BasisKind.bspline(5, 3, -1.0, 1.0)
-    knots = grid_spec(kind).centers
-    # include out-of-range points; support vanishes identically off-grid
-    x = np.random.default_rng(1).uniform(-3, 3, 5_000)
-    np.testing.assert_allclose(
-        py.bspline_values(x, knots, 3), cy.bspline_values(x, knots, 3), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        py.bspline_derivs(x, knots, 3), cy.bspline_derivs(x, knots, 3), rtol=1e-12
-    )
+def test_rows_outside_span_are_zero_and_non_finite_rows_follow_recursion():
+    knots = grid_spec(BasisKind.bspline(5, 3)).centers
+    x = np.array([knots[0] - 1.0, knots[-1], knots[-1] + 1.0, np.nan, np.inf, -np.inf])
+    values = kernels.bspline_values(x, knots, 3)
+    assert not values[:3].any()
+    assert np.isnan(values[3:]).all()
+    assert np.isnan(kernels.bspline_derivs(x, knots, 3)[3:]).all()
+    assert not kernels.bspline_derivs(x, knots, 1)[3:].any()
 
 
-@needs_compiled
-def test_rbf_backends_agree(backends):
-    py, cy = backends
-    kind = BasisKind.rbf(8, -2.0, 2.0)
-    spec = grid_spec(kind)
-    x = np.random.default_rng(2).uniform(-4, 4, 5_000)
-    np.testing.assert_allclose(
-        py.rbf_values(x, spec.centers, spec.bandwidth),
-        cy.rbf_values(x, spec.centers, spec.bandwidth),
-        rtol=1e-12,
-    )
-    np.testing.assert_allclose(
-        py.rbf_derivs(x, spec.centers, spec.bandwidth),
-        cy.rbf_derivs(x, spec.centers, spec.bandwidth),
-        rtol=1e-12,
-    )
-
-
-@pytest.mark.parametrize("backend", ["python", "compiled"])
-def test_unknown_unary_kind_raises(backend):
-    if backend == "compiled" and compiled_missing:
-        pytest.skip("compiled kernel extension not built")
-    impl = kernels.load_backend(backend)
+def test_unknown_unary_kind_raises():
     x = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError, match="sigmoid"):
-        impl.unary_values("sigmoid", x)
+        kernels.unary_values("sigmoid", x)
     with pytest.raises(ValueError, match="sigmoid"):
-        impl.unary_derivs("sigmoid", x)
+        kernels.unary_derivs("sigmoid", x)
 
 
 def test_active_backend_is_exposed():
-    assert kernels.backend() in ("compiled", "python")
-    assert kernels.backend() == kernels.BACKEND
-    with pytest.raises(ValueError):
-        kernels.load_backend("fortran")
+    assert kernels.backend() == "python"

@@ -268,6 +268,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_model(path)
 
+    def test_every_truncation_offset_rejected(self, tmp_path):
+        model = build_model(ModelConfig(kind="mlp", widths=(4, 3, 2), seed=0))
+        path = tmp_path / "model.fckn"
+        save_model(model, path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.fckn"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_model(cut)
+
 
 def _single_pass_logits(model: Model, fn: str) -> np.ndarray:
     from fckan.models import _fckan_pass

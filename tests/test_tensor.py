@@ -248,6 +248,14 @@ class TestBackward:
         with pytest.raises(TapeError):
             tape.backward(Tensor([[1.0]]))
 
+    def test_loss_from_a_longer_tape_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        long_tape, short_tape = Tape(), Tape()
+        loss = sum_all(long_tape, elementwise(long_tape, "add", x, x))
+        sum_all(short_tape, x)
+        with pytest.raises(TapeError, match="not produced on this tape"):
+            short_tape.backward(loss)
+
     def test_double_backward_rejected_then_reset_allows_reuse(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         tape = Tape()

@@ -163,6 +163,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(runs=4, seeds=(0, 1, 2))
 
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("runs", 0),
+                                             ("epochs", -1)])
+    def test_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_smallest_valid_values(self):
+        cfg = TrainConfig(batch_size=1, runs=1, epochs=0)
+        assert (cfg.batch_size, cfg.runs, cfg.epochs) == (1, 1, 0)
+
 
 class TestTrainModel:
     def test_seed_determinism_bit_identical_epoch0_loss(self):
