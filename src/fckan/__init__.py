@@ -1,7 +1,7 @@
 """Kolmogorov-Arnold networks built on fast elementwise basis functions.
 
 The package bundles a small float32 autograd engine, univariate basis
-functions (with compiled kernels when available), a model zoo (MLP,
+functions with vectorized NumPy kernels, a model zoo (MLP,
 function-combining KAN, spline/RBF KAN baselines), MNIST-format data
 loading, an AdamW training harness and a basis-function microbenchmark.
 """

@@ -1,11 +1,11 @@
-"""Univariate basis functions.
+"""Univariate basis functions and the registry of basis kinds.
 
 Two families: elementwise transcendentals (relu, sin, cos, arctan, tan, tanh,
 DoG) and grid-expanding bases that map one input to a vector of values
 (B-splines via Cox-de Boor over a uniform extended knot vector, Gaussian
-RBFs on uniformly spaced centers). Scalar entry points here route through
-fckan.kernels; the array paths used by models and the benchmark call it
-directly.
+RBFs on uniformly spaced centers). ``KINDS`` is the one table of basis kinds
+and says where each may be used; the kind lists of the rest of the package
+are views of it. The math lives in fckan.kernels.
 """
 
 from dataclasses import dataclass
@@ -13,9 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-
-ELEMENTWISE_KINDS = ("relu", "sin", "cos", "arctan", "tan", "tanh", "dog")
-GRID_KINDS = ("bspline", "rbf")
 
 
 class BasisConfigError(ValueError):
@@ -37,33 +34,21 @@ class BasisKind:
     hi: float = 1.0
 
     def __post_init__(self):
-        if self.name not in ELEMENTWISE_KINDS + GRID_KINDS:
+        if self.name not in KINDS:
             raise BasisConfigError(f"unknown basis kind: {self.name!r}")
-        if self.name == "bspline":
-            if self.grid_size < 1 or self.spline_order < 0:
-                raise BasisConfigError(
-                    f"bspline needs grid_size >= 1 and spline_order >= 0, "
-                    f"got G={self.grid_size}, k={self.spline_order}"
-                )
-        if self.name == "rbf" and self.grid_size < 2:
-            raise BasisConfigError(
-                f"rbf needs grid_size >= 2 (bandwidth undefined), got G={self.grid_size}"
-            )
-        if self.name in GRID_KINDS and not self.lo < self.hi:
-            raise BasisConfigError(f"empty grid range [{self.lo}, {self.hi}]")
+        if not self.is_elementwise:
+            grid_spec(self)  # raises on a grid the family cannot build
+            if not self.lo < self.hi:
+                raise BasisConfigError(f"empty grid range [{self.lo}, {self.hi}]")
 
     @property
     def is_elementwise(self) -> bool:
-        return self.name in ELEMENTWISE_KINDS
+        return KINDS[self.name].grid is None
 
     @property
     def num_basis(self) -> int:
         """Output vector length of one evaluation."""
-        if self.name == "bspline":
-            return self.grid_size + self.spline_order
-        if self.name == "rbf":
-            return self.grid_size
-        return 1
+        return 1 if self.is_elementwise else grid_spec(self).num_basis
 
     @classmethod
     def elementwise(cls, name: str) -> "BasisKind":
@@ -80,31 +65,90 @@ class BasisKind:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Concrete grid for one grid-expanding kind.
-
-    For B-splines, ``centers`` is the knot vector: non-decreasing with
-    G + 2k + 1 entries, extending k uniform steps beyond each end of
-    [lo, hi]. For RBFs, it is the G uniformly spaced centers and
-    ``bandwidth`` = (hi - lo) / (G - 1).
-    """
+class BSplineGrid:
+    """Order-k B-splines on a uniform knot vector (``centers``) that extends k
+    steps beyond each end of [lo, hi]: G + 2k + 1 knots, G + k functions."""
 
     centers: np.ndarray
-    bandwidth: float = 0.0
+    order: int
+    num_basis: int
+    default = BasisKind.bspline  # the grid `fckan bench` times
 
-
-def grid_spec(kind: BasisKind) -> GridSpec:
-    """Build the knot vector or center grid for a grid-expanding kind."""
-    if kind.name == "bspline":
+    @classmethod
+    def of(cls, kind: BasisKind) -> "BSplineGrid":
         g, k = kind.grid_size, kind.spline_order
+        if g < 1 or k < 0:
+            raise BasisConfigError(
+                f"bspline needs grid_size >= 1 and spline_order >= 0, got G={g}, k={k}"
+            )
         step = (kind.hi - kind.lo) / g
-        knots = kind.lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
-        return GridSpec(centers=knots)
-    if kind.name == "rbf":
-        centers = np.linspace(kind.lo, kind.hi, kind.grid_size, dtype=np.float64)
-        h = (kind.hi - kind.lo) / (kind.grid_size - 1)
-        return GridSpec(centers=centers, bandwidth=h)
-    raise BasisConfigError(f"{kind.name!r} has no grid")
+        return cls(kind.lo + step * np.arange(-k, g + k + 1, dtype=np.float64), k, g + k)
+
+    def values(self, x):
+        return kernels.bspline_values(x, self.centers, self.order)
+
+    def derivs(self, x):
+        return kernels.bspline_derivs(x, self.centers, self.order)
+
+
+@dataclass(frozen=True)
+class RBFGrid:
+    """Gaussian RBFs on G uniformly spaced centers, bandwidth (hi - lo) / (G - 1)."""
+
+    centers: np.ndarray
+    bandwidth: float
+    num_basis: int
+    default = BasisKind.rbf  # the grid `fckan bench` times
+
+    @classmethod
+    def of(cls, kind: BasisKind) -> "RBFGrid":
+        g = kind.grid_size
+        if g < 2:
+            raise BasisConfigError(f"rbf needs grid_size >= 2 (bandwidth undefined), got G={g}")
+        centers = np.linspace(kind.lo, kind.hi, g, dtype=np.float64)
+        return cls(centers, (kind.hi - kind.lo) / (g - 1), g)
+
+    def values(self, x):
+        return kernels.rbf_values(x, self.centers, self.bandwidth)
+
+    def derivs(self, x):
+        return kernels.rbf_derivs(x, self.centers, self.bandwidth)
+
+
+@dataclass(frozen=True)
+class KindUse:
+    """Where one basis kind may be used."""
+
+    fckan: bool = False  # a function of the fc-kan model (the paper's four)
+    unary_op: bool = False  # trainable through tensor.apply_unary
+    bench: tuple | None = None  # input range of its `fckan bench` row
+    grid: type | None = None  # its grid family; None for an elementwise kind
+
+
+_UNIT = (-1.0, 1.0)
+
+KINDS = {
+    "bspline": KindUse(bench=_UNIT, grid=BSplineGrid),
+    "rbf": KindUse(bench=_UNIT, grid=RBFGrid),
+    "dog": KindUse(bench=_UNIT),
+    "relu": KindUse(fckan=True, unary_op=True, bench=_UNIT),
+    "sin": KindUse(fckan=True, unary_op=True, bench=_UNIT),
+    "cos": KindUse(fckan=True, unary_op=True, bench=_UNIT),
+    "tan": KindUse(bench=(-1.5, 1.5)),  # clear of the poles at +-pi/2
+    "arctan": KindUse(fckan=True, unary_op=True, bench=_UNIT),
+    "tanh": KindUse(unary_op=True),
+}
+
+FCKAN_FUNCTIONS = tuple(n for n, u in KINDS.items() if u.fckan)
+UNARY_OP_KINDS = tuple(n for n, u in KINDS.items() if u.unary_op)
+BENCH_KINDS = tuple(n for n, u in KINDS.items() if u.bench)
+
+
+def grid_spec(kind: BasisKind):
+    """The knot vector or center grid of a grid-expanding kind."""
+    if kind.is_elementwise:
+        raise BasisConfigError(f"{kind.name!r} has no grid")
+    return KINDS[kind.name].grid.of(kind)
 
 
 def eval_elementwise(kind: BasisKind, x: float) -> float:
@@ -115,38 +159,33 @@ def eval_elementwise(kind: BasisKind, x: float) -> float:
     return float(kernels.unary_values(kind.name, arr)[0])
 
 
+def _grid_row(x: float, kind: BasisKind, family) -> np.ndarray:
+    spec = grid_spec(kind)
+    if not isinstance(spec, family):
+        raise BasisConfigError(f"expected a {family.__name__} kind, got {kind.name!r}")
+    return spec.values(np.asarray([x], dtype=np.float64))[0]
+
+
 def bspline_basis(x: float, kind: BasisKind) -> np.ndarray:
     """All G + k basis values at x. Outside [lo, hi] values decay to 0."""
-    if kind.name != "bspline":
-        raise BasisConfigError(f"expected bspline, got {kind.name!r}")
-    spec = grid_spec(kind)
-    return kernels.bspline_values(
-        np.asarray([x], dtype=np.float64), spec.centers, kind.spline_order
-    )[0]
+    return _grid_row(x, kind, BSplineGrid)
 
 
 def rbf_basis(x: float, kind: BasisKind) -> np.ndarray:
     """Gaussian RBF values at x for the G grid centers."""
-    if kind.name != "rbf":
-        raise BasisConfigError(f"expected rbf, got {kind.name!r}")
-    spec = grid_spec(kind)
-    return kernels.rbf_values(
-        np.asarray([x], dtype=np.float64), spec.centers, spec.bandwidth
-    )[0]
+    return _grid_row(x, kind, RBFGrid)
 
 
 def basis_derivative(kind: BasisKind, x: float):
     """Analytic d/dx: a float for elementwise kinds, a vector for grid kinds.
 
-    tan is benchmark-only and never trained, so it has no derivative here.
+    Kinds with no derivative in fckan.kernels (tan, which is only
+    benchmarked) raise BasisConfigError.
     """
-    if kind.name == "tan":
-        raise BasisConfigError("tan is benchmark-only and has no training derivative")
     if kind.is_elementwise:
-        arr = np.asarray([x], dtype=np.float32)
-        return float(kernels.unary_derivs(kind.name, arr)[0])
-    spec = grid_spec(kind)
-    xs = np.asarray([x], dtype=np.float64)
-    if kind.name == "bspline":
-        return kernels.bspline_derivs(xs, spec.centers, kind.spline_order)[0]
-    return kernels.rbf_derivs(xs, spec.centers, spec.bandwidth)[0]
+        try:
+            d = kernels.unary_derivs(kind.name, np.asarray([x], dtype=np.float32))
+        except ValueError as e:
+            raise BasisConfigError(str(e)) from None
+        return float(d[0])
+    return grid_spec(kind).derivs(np.asarray([x], dtype=np.float64))[0]

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import BasisKind, grid_spec
-
-BENCH_KINDS = ("bspline", "rbf", "dog", "relu", "sin", "cos", "tan", "arctan")
+from .basis import BENCH_KINDS, KINDS, BasisKind, grid_spec
 
 CSV_FIELDS = ("function", "mean_us", "std_us", "repeats", "n", "checksum")
 
@@ -34,30 +32,16 @@ class BenchResult:
     repeats: int
     n: int
     checksum: float
-    threads: int = 1
-
-
-def _bench_kind(name: str) -> BasisKind:
-    if name == "bspline":
-        return BasisKind.bspline()  # G=5, k=3: the full G+k vector per input
-    if name == "rbf":
-        return BasisKind.rbf()
-    return BasisKind.elementwise(name)
 
 
 def _make_pass(kind: BasisKind, n: int):
-    # uniform inputs over the function's natural domain; tan stays clear of
-    # its poles
-    lo, hi = (-1.5, 1.5) if kind.name == "tan" else (-1.0, 1.0)
-    x = np.random.default_rng(0).uniform(lo, hi, size=n)
+    # uniform float64 inputs over the kind's bench range
+    x = np.random.default_rng(0).uniform(*KINDS[kind.name].bench, size=n)
     if kind.is_elementwise:
         x32 = x.astype(np.float32)
         return lambda: kernels.unary_values(kind.name, x32)
     spec = grid_spec(kind)
-    x64 = x.astype(np.float64)
-    if kind.name == "bspline":
-        return lambda: kernels.bspline_values(x64, spec.centers, kind.spline_order)
-    return lambda: kernels.rbf_values(x64, spec.centers, spec.bandwidth)
+    return lambda: spec.values(x)
 
 
 def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
@@ -66,9 +50,12 @@ def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
         raise ValueError(f"n must be >= 1, got {n}")
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
-    kind = _bench_kind(kind) if isinstance(kind, str) else kind
-    if kind.name not in BENCH_KINDS:
-        raise ValueError(f"benchmark covers {BENCH_KINDS}, got {kind.name!r}")
+    name = kind if isinstance(kind, str) else kind.name
+    if name not in BENCH_KINDS:
+        raise ValueError(f"benchmark covers {BENCH_KINDS}, got {name!r}")
+    if isinstance(kind, str):  # grid kinds take their family's default grid
+        grid = KINDS[name].grid
+        kind = BasisKind(name) if grid is None else grid.default()
     one_pass = _make_pass(kind, n)
     out = one_pass()  # warm-up, untimed
     times = np.empty(repeats, dtype=np.float64)

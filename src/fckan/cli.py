@@ -23,9 +23,9 @@ from .data import DATASET_NAMES, SPLIT_FILES, load_dataset
 from .models import (
     ModelConfig,
     MODEL_KINDS,
+    MODELS,
     build_model,
     count_params,
-    default_spline,
     layer_param_counts,
 )
 from .report import ReportError, load_record, make_record, render_report, write_record
@@ -98,7 +98,7 @@ def _model_config(args, parser) -> ModelConfig:
     grid_size = getattr(args, "grid_size", None)
     spline_order = getattr(args, "spline_order", None)
     if grid_size is not None or spline_order is not None:
-        base = default_spline(args.model)
+        base = MODELS[args.model].spline
         if base is None:
             parser.error(f"--grid-size/--spline-order only apply to spline models")
         spline = BasisKind(

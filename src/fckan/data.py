@@ -11,6 +11,7 @@ and performs the download separately.
 """
 
 import gzip
+import math
 import os
 from dataclasses import dataclass
 
@@ -63,13 +64,16 @@ def parse_idx(buf: bytes):
     if len(buf) < header:
         raise IdxFormatError("buffer truncated inside the dimension list")
     dims = [int.from_bytes(buf[4 + 4 * i : 8 + 4 * i], "big") for i in range(rank)]
-    count = int(np.prod(dims)) if dims else 0
+    count = math.prod(dims)
     payload = buf[header:]
     if len(payload) != count:
         raise IdxFormatError(
             f"payload holds {len(payload)} bytes but dims {dims} need {count}"
         )
-    return dims, np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    try:
+        return dims, np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    except ValueError:  # an empty payload whose nonzero dims overflow NumPy's sizes
+        raise IdxFormatError(f"dims {dims} are too large for an array") from None
 
 
 def _read_file(path: str) -> bytes:
@@ -115,6 +119,8 @@ def load_dataset(name: str, directory: str):
     """
     if name not in DATASET_NAMES:
         raise DataError(f"unknown dataset {name!r}, expected one of {DATASET_NAMES}")
+    if directory is None:
+        raise DataError(f"no data directory given to load {name} from")
     splits = []
     for split, (img_stem, lbl_stem) in SPLIT_FILES.items():
         images = load_images(_find(directory, img_stem))

@@ -17,11 +17,6 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _tan_deriv(x):
-    c = np.cos(x)
-    return _ONE / (c * c)
-
-
 def _tanh_deriv(x):
     t = np.tanh(x)
     return _ONE - t * t
@@ -32,13 +27,15 @@ def _silu_deriv(x):
     return s * (1.0 + x * (1.0 - s))
 
 
-# name -> (value, derivative); relu'(0) = 0 by convention
+# name -> (value, derivative): the basis kinds of fckan.basis.KINDS that are
+# elementwise, plus silu. relu'(0) = 0 by convention; tan is only benchmarked
+# and has no derivative.
 _UNARY = {
     "relu": (lambda x: np.maximum(x, _ZERO), lambda x: (x > 0).astype(x.dtype)),
     "sin": (np.sin, np.cos),
     "cos": (np.cos, lambda x: -np.sin(x)),
     "arctan": (np.arctan, lambda x: _ONE / (_ONE + x * x)),
-    "tan": (np.tan, _tan_deriv),
+    "tan": (np.tan, None),
     "tanh": (np.tanh, _tanh_deriv),
     "dog": (lambda x: -x * np.exp(-0.5 * x * x),
             lambda x: (x * x - 1.0) * np.exp(-0.5 * x * x)),
@@ -51,21 +48,22 @@ def backend() -> str:
     return "python"
 
 
-def _unary(name):
-    try:
-        return _UNARY[name]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind: {name!r}") from None
+def _unary(name, which):
+    fn = _UNARY.get(name, (None, None))[which]
+    if fn is None:
+        what = "derivative" if which else "function"
+        raise ValueError(f"no elementwise {what} named {name!r}")
+    return fn
 
 
 def unary_values(name, x):
     """Apply the named elementwise function to a float32 array."""
-    return _unary(name)[0](x)
+    return _unary(name, 0)(x)
 
 
 def unary_derivs(name, x):
     """d/dx of the named elementwise function, evaluated at x."""
-    return _unary(name)[1](x)
+    return _unary(name, 1)(x)
 
 
 def _local_bases(x, knots, order, degree):

@@ -1,7 +1,11 @@
 """Model zoo: MLP, function-combining KAN, and spline/RBF KAN baselines.
 
 Every model is a stack of width-to-width layers over the shared autograd
-ops. The function-combining KAN (kind "fc-kan") runs the input through one
+ops, and every model kind is one entry of ``MODELS``: the parameters of each
+layer in the order they are initialized, its forward function and, for the
+spline kinds, the default grid and the grids whose expansions are summed.
+
+The function-combining KAN (kind "fc-kan") runs the input through one
 shared-weight pass per elementwise function in its set and merges the
 per-function outputs elementwise (sum or product); because the linear
 weights are shared across passes, its parameter count equals the MLP's.
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisKind
+from .basis import FCKAN_FUNCTIONS, BasisKind
 from .tensor import (
     Tensor,
     apply_unary,
@@ -34,26 +38,12 @@ from .tensor import (
     silu,
 )
 
-MODEL_KINDS = ("mlp", "fc-kan", "efficient-kan", "fast-kan", "bsrbf-kan")
-FCKAN_FUNCTIONS = ("sin", "cos", "arctan", "relu")
-
 CHECKPOINT_MAGIC = b"FCKN"
 CHECKPOINT_VERSION = 1
 
 
 class ConfigError(ValueError):
     """Invalid model configuration."""
-
-
-def default_spline(kind: str):
-    """Grid config used when a spline model does not specify one."""
-    if kind == "efficient-kan":
-        return BasisKind.bspline(5, 3, -1.0, 1.0)
-    if kind == "fast-kan":
-        return BasisKind.rbf(8, -2.0, 2.0)
-    if kind == "bsrbf-kan":
-        return BasisKind.bspline(5, 3, -1.5, 1.5)
-    return None
 
 
 @dataclass(frozen=True)
@@ -85,7 +75,7 @@ class ModelConfig:
         elif self.functions:
             raise ConfigError(f"{self.kind} takes no function set")
         if self.spline is None:
-            object.__setattr__(self, "spline", default_spline(self.kind))
+            object.__setattr__(self, "spline", MODELS[self.kind].spline)
 
     def to_dict(self) -> dict:
         d = {
@@ -139,20 +129,7 @@ class Model:
         return count_params(self)
 
     def forward(self, X: Tensor, tape=None) -> Tensor:
-        kind = self.config.kind
-        if kind == "mlp":
-            return forward_mlp(self, X, tape)
-        if kind == "fc-kan":
-            return forward_fckan(self, X, tape)
-        return forward_spline_kan(self, X, tape)
-
-    def rbf_kind(self) -> BasisKind:
-        """RBF grid used by fast-kan and bsrbf-kan layers."""
-        sp = self.config.spline
-        if sp.name == "rbf":
-            return sp
-        # bsrbf: one RBF per spline basis function over the same range
-        return BasisKind.rbf(grid_size=sp.num_basis, lo=sp.lo, hi=sp.hi)
+        return MODELS[self.config.kind].forward(self, X, tape)
 
 
 def _uniform_weight(rng, fan_in: int, fan_out: int, scale: float = 1.0) -> np.ndarray:
@@ -161,33 +138,29 @@ def _uniform_weight(rng, fan_in: int, fan_out: int, scale: float = 1.0) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
 
 
+# layer parameter -> (initial value from (rng, d_in, d_out, basis functions
+# per input), weight decay)
+LAYER_PARAMS = {
+    "ln_gamma": (lambda rng, i, o, nb: np.ones((1, i), dtype=np.float32), False),
+    "ln_beta": (lambda rng, i, o, nb: np.zeros((1, i), dtype=np.float32), False),
+    "weight": (lambda rng, i, o, nb: _uniform_weight(rng, i, o), True),
+    "base_weight": (lambda rng, i, o, nb: _uniform_weight(rng, i, o), True),
+    "spline_weight": (lambda rng, i, o, nb: _uniform_weight(rng, i * nb, o, 0.1), True),
+    "spline_scaler": (lambda rng, i, o, nb: _uniform_weight(rng, i, o), True),
+}
+
+
 def build_model(config: ModelConfig) -> Model:
     """Deterministically initialize a model from its config and seed."""
     rng = np.random.default_rng(config.seed)
     model = Model(config=config)
-    kind = config.kind
     nb = config.spline.num_basis if config.spline is not None else 0
-
-    def add(layer, name, array, decay):
-        t = Tensor(array, requires_grad=True)
-        layer[name] = t
-        model.params.append(Param(f"layer{len(model.layers)}.{name}", t, decay))
-
     for d_in, d_out in zip(config.widths[:-1], config.widths[1:]):
         layer = {}
-        if kind in ("mlp", "fc-kan"):
-            add(layer, "ln_gamma", np.ones((1, d_in), dtype=np.float32), False)
-            add(layer, "ln_beta", np.zeros((1, d_in), dtype=np.float32), False)
-            add(layer, "weight", _uniform_weight(rng, d_in, d_out), True)
-        elif kind == "efficient-kan":
-            add(layer, "base_weight", _uniform_weight(rng, d_in, d_out), True)
-            add(layer, "spline_weight", _uniform_weight(rng, d_in * nb, d_out, 0.1), True)
-            add(layer, "spline_scaler", _uniform_weight(rng, d_in, d_out), True)
-        else:  # fast-kan, bsrbf-kan
-            add(layer, "ln_gamma", np.ones((1, d_in), dtype=np.float32), False)
-            add(layer, "ln_beta", np.zeros((1, d_in), dtype=np.float32), False)
-            add(layer, "base_weight", _uniform_weight(rng, d_in, d_out), True)
-            add(layer, "spline_weight", _uniform_weight(rng, d_in * nb, d_out, 0.1), True)
+        for name in MODELS[config.kind].params:
+            init, decay = LAYER_PARAMS[name]
+            layer[name] = Tensor(init(rng, d_in, d_out, nb), requires_grad=True)
+            model.params.append(Param(f"layer{len(model.layers)}.{name}", layer[name], decay))
         model.layers.append(layer)
     return model
 
@@ -260,32 +233,60 @@ def combine_outputs(tape, outputs, method: str) -> Tensor:
 
 
 def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
+    """silu(h) @ W_base + (sum of the grid expansions of h) @ W_spline per
+    layer, where h is layer-normed if the layer has ``ln_gamma`` and W_spline
+    is scaled per input feature if it has ``spline_scaler``."""
     _check_input(model, X)
-    kind = model.config.kind
     sp = model.config.spline
+    nb = sp.num_basis
+    grids = [grid(sp) for grid in MODELS[model.config.kind].grids]
     h = X
     for layer in model.layers:
-        if kind == "efficient-kan":
-            base = matmul(tape, silu(tape, h), layer["base_weight"])
-            scale = repeat_rows(tape, layer["spline_scaler"], sp.num_basis)
-            w_eff = elementwise(tape, "mul", layer["spline_weight"], scale)
-            spline = matmul(tape, basis_expand(tape, h, sp), w_eff)
-            h = elementwise(tape, "add", base, spline)
-        else:
-            hn = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
-            base = matmul(tape, silu(tape, hn), layer["base_weight"])
-            if kind == "fast-kan":
-                expanded = basis_expand(tape, hn, model.rbf_kind())
-            else:  # bsrbf-kan
-                expanded = elementwise(
-                    tape,
-                    "add",
-                    basis_expand(tape, hn, sp),
-                    basis_expand(tape, hn, model.rbf_kind()),
-                )
-            spline = matmul(tape, expanded, layer["spline_weight"])
-            h = elementwise(tape, "add", base, spline)
+        if "ln_gamma" in layer:
+            h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
+        base = matmul(tape, silu(tape, h), layer["base_weight"])
+        w = layer["spline_weight"]
+        if "spline_scaler" in layer:
+            w = elementwise(tape, "mul", w, repeat_rows(tape, layer["spline_scaler"], nb))
+        expanded = basis_expand(tape, h, grids[0])
+        for grid in grids[1:]:
+            expanded = elementwise(tape, "add", expanded, basis_expand(tape, h, grid))
+        h = elementwise(tape, "add", base, matmul(tape, expanded, w))
     return h
+
+
+def _spline(sp: BasisKind) -> BasisKind:
+    return sp
+
+
+def _rbf(sp: BasisKind) -> BasisKind:
+    """One Gaussian RBF per basis function of ``sp``, over its range; an RBF
+    ``sp`` gives itself."""
+    return BasisKind.rbf(sp.num_basis, sp.lo, sp.hi)
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    params: tuple  # names from LAYER_PARAMS, in initialization order
+    forward: object  # (model, X, tape) -> logits
+    spline: BasisKind | None = None  # default grid of a spline kind
+    grids: tuple = ()  # spline -> grid, one per expansion forward_spline_kan sums
+
+
+_LN = ("ln_gamma", "ln_beta")
+_SPLINE = ("base_weight", "spline_weight")
+
+MODELS = {
+    "mlp": ModelKind(_LN + ("weight",), forward_mlp),
+    "fc-kan": ModelKind(_LN + ("weight",), forward_fckan),
+    "efficient-kan": ModelKind(_SPLINE + ("spline_scaler",), forward_spline_kan,
+                               BasisKind.bspline(5, 3, -1.0, 1.0), (_spline,)),
+    "fast-kan": ModelKind(_LN + _SPLINE, forward_spline_kan,
+                          BasisKind.rbf(8, -2.0, 2.0), (_rbf,)),
+    "bsrbf-kan": ModelKind(_LN + _SPLINE, forward_spline_kan,
+                           BasisKind.bspline(5, 3, -1.5, 1.5), (_spline, _rbf)),
+}
+MODEL_KINDS = tuple(MODELS)
 
 
 class CheckpointError(ValueError):

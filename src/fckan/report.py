@@ -13,7 +13,7 @@ import time
 from . import __version__
 from .bench import machine_meta
 from .models import ModelConfig
-from .training import AggregateMetrics, RunMetrics, TrainConfig
+from .training import AggregateMetrics, TrainConfig
 
 RECORD_KEYS = ("model", "train", "runs", "aggregate", "meta")
 
@@ -68,10 +68,6 @@ def load_record(path) -> dict:
     if missing:
         raise ReportError(f"{path}: record is missing keys {missing}")
     return record
-
-
-def record_runs(record: dict):
-    return [RunMetrics.from_dict(d) for d in record["runs"]]
 
 
 def _cell(mean: float, std: float) -> str:

@@ -2,8 +2,8 @@
 
 A Tensor wraps a contiguous row-major float32 matrix plus an optional
 gradient buffer. Operations record nodes onto an explicit Tape; calling
-``backward`` on a scalar loss sweeps the tape in reverse topological order
-and accumulates gradients additively into every reachable tensor that
+``Tape.backward`` on a scalar loss sweeps the tape in reverse topological
+order and accumulates gradients additively into every reachable tensor that
 requires them. Passing ``tape=None`` to any op runs it in inference mode
 (no recording, no gradients).
 
@@ -16,11 +16,7 @@ import itertools
 import numpy as np
 
 from . import kernels
-from .basis import BasisKind, grid_spec
-
-# elementwise kinds trainable through apply_unary (tan/dog are benchmark/basis
-# only, silu has its own op)
-UNARY_OP_KINDS = ("relu", "sin", "cos", "arctan", "tanh")
+from .basis import UNARY_OP_KINDS, BasisKind, grid_spec
 
 _ids = itertools.count()
 
@@ -130,11 +126,6 @@ class Tape:
         self._spent = False
 
 
-def backward(tape: Tape, loss: Tensor):
-    """Populate grads of every tensor with requires_grad reachable from loss."""
-    tape.backward(loss)
-
-
 def _emit(tape, out, inputs, backward_fn):
     if tape is not None:
         tape.record(out, inputs, backward_fn)
@@ -162,20 +153,19 @@ def apply_unary(tape, kind, x: Tensor) -> Tensor:
         raise UnsupportedKindError(
             f"apply_unary supports {UNARY_OP_KINDS}, got {name!r}"
         )
-    out = Tensor(kernels.unary_values(name, x.data))
-
-    def bwd(dout):
-        return (dout * kernels.unary_derivs(name, x.data),)
-
-    return _emit(tape, out, (x,), bwd)
+    return _unary(tape, name, x)
 
 
 def silu(tape, x: Tensor) -> Tensor:
     """x * sigmoid(x), the base-branch activation of the spline models."""
-    out = Tensor(kernels.unary_values("silu", x.data))
+    return _unary(tape, "silu", x)
+
+
+def _unary(tape, name, x):
+    out = Tensor(kernels.unary_values(name, x.data))
 
     def bwd(dout):
-        return (dout * kernels.unary_derivs("silu", x.data),)
+        return (dout * kernels.unary_derivs(name, x.data),)
 
     return _emit(tape, out, (x,), bwd)
 
@@ -282,22 +272,14 @@ def basis_expand(tape, x: Tensor, kind: BasisKind) -> Tensor:
         raise UnsupportedKindError(f"basis_expand needs a grid kind, got {kind.name!r}")
     spec = grid_spec(kind)
     m, d = x.shape
-    nb = kind.num_basis
+    nb = spec.num_basis
     flat = x.data.ravel().astype(np.float64)
-    if kind.name == "bspline":
-        vals = kernels.bspline_values(flat, spec.centers, kind.spline_order)
-    else:
-        vals = kernels.rbf_values(flat, spec.centers, spec.bandwidth)
-    out = Tensor(vals.reshape(m, d * nb).astype(np.float32))
+    out = Tensor(spec.values(flat).reshape(m, d * nb).astype(np.float32))
 
     def bwd(dout):
         if not x.requires_grad:
             return (None,)
-        if kind.name == "bspline":
-            derivs = kernels.bspline_derivs(flat, spec.centers, kind.spline_order)
-        else:
-            derivs = kernels.rbf_derivs(flat, spec.centers, spec.bandwidth)
-        dx = (dout.reshape(m * d, nb) * derivs).sum(axis=1)
+        dx = (dout.reshape(m * d, nb) * spec.derivs(flat)).sum(axis=1)
         return (dx.reshape(m, d).astype(np.float32),)
 
     return _emit(tape, out, (x,), bwd)

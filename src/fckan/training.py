@@ -95,18 +95,6 @@ class RunMetrics:
             "wall_seconds": self.wall_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunMetrics":
-        return cls(
-            seed=d["seed"],
-            train_loss=list(d.get("train_loss", [])),
-            train_acc=list(d.get("train_acc", [])),
-            val_acc=list(d.get("val_acc", [])),
-            final_val_acc=d["final_val_acc"],
-            final_f1=d["final_f1"],
-            wall_seconds=d.get("wall_seconds", 0.0),
-        )
-
 
 @dataclass
 class AggregateMetrics:

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fckan import kernels
 from fckan.basis import (
+    BENCH_KINDS,
+    FCKAN_FUNCTIONS,
+    KINDS,
+    UNARY_OP_KINDS,
     BasisConfigError,
     BasisKind,
     basis_derivative,
@@ -12,6 +17,29 @@ from fckan.basis import (
     grid_spec,
     rbf_basis,
 )
+
+
+class TestRegistry:
+    def test_views(self):
+        assert set(BENCH_KINDS) == {"bspline", "rbf", "dog", "relu", "sin", "cos", "tan",
+                                    "arctan"}
+        assert set(UNARY_OP_KINDS) == {"relu", "sin", "cos", "arctan", "tanh"}
+        assert set(FCKAN_FUNCTIONS) == {"sin", "cos", "arctan", "relu"}
+        assert len(BENCH_KINDS) == 8 and len(UNARY_OP_KINDS) == 5 and len(FCKAN_FUNCTIONS) == 4
+
+    def test_grid_kinds(self):
+        assert {n for n, use in KINDS.items() if use.grid} == {"bspline", "rbf"}
+
+    @pytest.mark.parametrize("name", [n for n, use in KINDS.items() if use.grid is None])
+    def test_elementwise_kinds_have_kernel_values(self, name):
+        x = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
+        assert BasisKind(name).is_elementwise
+        assert np.isfinite(kernels.unary_values(name, x)).all()
+
+    @pytest.mark.parametrize("name", UNARY_OP_KINDS)
+    def test_trainable_kinds_have_kernel_derivatives(self, name):
+        x = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
+        assert np.isfinite(kernels.unary_derivs(name, x)).all()
 
 
 class TestConfig:

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import require_dataset, synthetic_split
 from fckan.data import (
@@ -51,6 +53,35 @@ class TestParseIdx:
         with pytest.raises(IdxFormatError):
             parse_idx(b"\x00\x00")
 
+    def test_dims_product_does_not_wrap(self):
+        # 2^31 cubed is 0 in int64; the exact product rejects the empty payload
+        buf = struct.pack(">IIII", 0x00000803, 2**31, 2**31, 2**31)
+        with pytest.raises(IdxFormatError, match=str(2**93)):
+            parse_idx(buf)
+        big = 2**32 - 1
+        with pytest.raises(IdxFormatError, match=str(big**3)):
+            parse_idx(struct.pack(">IIII", 0x00000803, big, big, big))
+
+    def test_empty_payload_with_oversized_dims(self):
+        for dims in ((0, 2**32 - 1, 2**32 - 1), (2**32 - 1, 2**32 - 1, 0)):
+            with pytest.raises(IdxFormatError, match="too large"):
+                parse_idx(struct.pack(">IIII", 0x00000803, *dims))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64) | st.sampled_from([1, 3]).flatmap(lambda rank: st.builds(
+        lambda dims, payload: (0x800 + rank).to_bytes(4, "big")
+        + b"".join(d.to_bytes(4, "big") for d in dims) + payload,
+        st.lists(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]), min_size=rank,
+                 max_size=rank),
+        st.binary(max_size=8),
+    )))
+    def test_arbitrary_bytes_raise_only_idx_format_error(self, buf):
+        try:
+            dims, payload = parse_idx(buf)
+        except IdxFormatError:
+            return
+        assert list(payload.shape) == dims
+
 
 class TestLoaders:
     def test_all_white_image_normalizes_to_one(self, tmp_path):
@@ -70,6 +101,10 @@ class TestLoaders:
     def test_missing_file_names_expected_stem(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="train-images-idx3-ubyte"):
             load_dataset("mnist", str(tmp_path))
+
+    def test_no_directory_is_a_data_error(self):
+        with pytest.raises(DataError, match="no data directory"):
+            load_dataset("mnist", None)
 
     def test_unknown_dataset_name(self, tmp_path):
         with pytest.raises(DataError):

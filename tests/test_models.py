@@ -98,6 +98,44 @@ class TestParamCounts:
         assert model.layers[1]["spline_weight"].shape == (8 * 8, 4)
 
 
+def _layout(d_in, d_out, names):
+    shapes = {
+        "ln_gamma": ((1, d_in), False),
+        "ln_beta": ((1, d_in), False),
+        "weight": ((d_in, d_out), True),
+        "base_weight": ((d_in, d_out), True),
+        "spline_weight": ((d_in * 8, d_out), True),
+        "spline_scaler": ((d_in, d_out), True),
+    }
+    return [(n,) + shapes[n] for n in names]
+
+
+class TestParamLayout:
+    """The Param order, names, shapes and decay flags are the checkpoint layout."""
+
+    LN = ("ln_gamma", "ln_beta")
+    EXPECTED = {
+        "mlp": LN + ("weight",),
+        "fc-kan": LN + ("weight",),
+        "efficient-kan": ("base_weight", "spline_weight", "spline_scaler"),
+        "fast-kan": LN + ("base_weight", "spline_weight"),
+        "bsrbf-kan": LN + ("base_weight", "spline_weight"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(EXPECTED))
+    def test_reference_architecture_layout(self, kind):
+        kw = {"functions": ("sin",)} if kind == "fc-kan" else {}
+        model = build_model(ModelConfig(kind=kind, widths=(784, 64, 10), **kw))
+        got = [(p.name, p.tensor.shape, p.decay) for p in model.params]
+        want = [
+            (f"layer{i}.{name}", shape, decay)
+            for i, (d_in, d_out) in enumerate([(784, 64), (64, 10)])
+            for name, shape, decay in _layout(d_in, d_out, self.EXPECTED[kind])
+        ]
+        assert got == want
+        assert [list(layer) for layer in model.layers] == [list(self.EXPECTED[kind])] * 2
+
+
 class TestForward:
     @pytest.mark.parametrize(
         "kind,kw",

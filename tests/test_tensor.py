@@ -9,7 +9,6 @@ from fckan.tensor import (
     Tensor,
     UnsupportedKindError,
     apply_unary,
-    backward,
     elementwise,
     layer_norm,
     matmul,
@@ -219,7 +218,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         tape = Tape()
-        backward(tape, sum_all(tape, x))
+        tape.backward(sum_all(tape, x))
         assert x.grad.tolist() == [[1.0, 1.0, 1.0]]
 
     def test_quadratic(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_split
+from fckan.data import DataError
 from fckan.models import ModelConfig, build_model
 from fckan.training import (
     AdamW,
@@ -236,6 +237,14 @@ class TestTrainModel:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged, match="epoch|parameter"):
                 train_model(cfg, tc, splits=(split, split))
+
+    def test_no_splits_and_no_data_dir_is_a_data_error(self):
+        cfg = ModelConfig(kind="mlp", widths=(784, 8, 10))
+        tc = TrainConfig(epochs=1, runs=1, seeds=(0,))
+        with pytest.raises(DataError, match="no data directory"):
+            train_model(cfg, tc)
+        with pytest.raises(DataError, match="no data directory"):
+            run_experiment(cfg, tc, splits=None, data_dir=None)
 
     def test_run_experiment_aggregates_seeds(self):
         split = synthetic_split(n=64, d=16, classes=4)
