@@ -8,7 +8,7 @@ loading, an AdamW training harness and a basis-function microbenchmark.
 
 __version__ = "0.1.0"
 
-from .basis import BasisKind  # noqa: F401
+from .basis import BSplineGrid, RBFGrid  # noqa: F401
 from .models import Model, ModelConfig, build_model, count_params  # noqa: F401
 from .tensor import Tape, Tensor  # noqa: F401
 from .training import TrainConfig, run_experiment, train_model  # noqa: F401

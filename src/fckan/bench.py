@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import BENCH_KINDS, KINDS, BasisKind, grid_spec
+from .basis import BENCH_KINDS, KINDS
 
 CSV_FIELDS = ("function", "mean_us", "std_us", "repeats", "n", "checksum")
 
@@ -34,18 +34,21 @@ class BenchResult:
     checksum: float
 
 
-def _make_pass(kind: BasisKind, n: int):
+def _make_pass(name: str, grid, n: int):
     # uniform float64 inputs over the kind's bench range
-    x = np.random.default_rng(0).uniform(*KINDS[kind.name].bench, size=n)
-    if kind.is_elementwise:
+    x = np.random.default_rng(0).uniform(*KINDS[name].bench, size=n)
+    if grid is None:
         x32 = x.astype(np.float32)
-        return lambda: kernels.unary_values(kind.name, x32)
-    spec = grid_spec(kind)
-    return lambda: spec.values(x)
+        return lambda: kernels.unary_values(name, x32)
+    return lambda: grid.values(x)
 
 
 def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
-    """Time one function over n elements, repeats times plus a warm-up."""
+    """Time one function over n elements, repeats times plus a warm-up.
+
+    ``kind`` is a kind name, whose grid kinds time their family's default
+    grid, or a BSplineGrid or RBFGrid.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if repeats < 3:
@@ -53,10 +56,11 @@ def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
     name = kind if isinstance(kind, str) else kind.name
     if name not in BENCH_KINDS:
         raise ValueError(f"benchmark covers {BENCH_KINDS}, got {name!r}")
-    if isinstance(kind, str):  # grid kinds take their family's default grid
-        grid = KINDS[name].grid
-        kind = BasisKind(name) if grid is None else grid.default()
-    one_pass = _make_pass(kind, n)
+    grid = kind
+    if isinstance(kind, str):
+        family = KINDS[name].grid
+        grid = family() if family else None
+    one_pass = _make_pass(name, grid, n)
     out = one_pass()  # warm-up, untimed
     times = np.empty(repeats, dtype=np.float64)
     for r in range(repeats):
@@ -64,7 +68,7 @@ def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
         out = one_pass()
         times[r] = (time.perf_counter() - t0) * 1e6
     return BenchResult(
-        function=kind.name,
+        function=name,
         mean_us=float(times.mean()),
         std_us=float(times.std(ddof=1)),
         repeats=repeats,

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 """
 
 import argparse
+import dataclasses
 import glob
 import os
 import sys
@@ -18,7 +19,6 @@ import urllib.request
 
 from . import __version__
 from .bench import bench_suite, format_table, machine_meta, write_csv
-from .basis import BasisKind
 from .data import DATASET_NAMES, SPLIT_FILES, load_dataset
 from .models import (
     ModelConfig,
@@ -60,26 +60,6 @@ def _default_data_dir() -> str:
     return os.environ.get("FCKAN_DATA_DIR", "data")
 
 
-def _resolve_data_dir(data_dir: str, dataset: str) -> str:
-    def has_all(d):
-        stems = [s for pair in SPLIT_FILES.values() for s in pair]
-        return all(
-            os.path.exists(os.path.join(d, s)) or os.path.exists(os.path.join(d, s + ".gz"))
-            for s in stems
-        )
-
-    for candidate in (os.path.join(data_dir, dataset), data_dir):
-        if has_all(candidate):
-            return candidate
-    names = ", ".join(DATA_FILES)
-    raise FileNotFoundError(
-        f"{dataset} files not found under {data_dir!r} or "
-        f"{os.path.join(data_dir, dataset)!r}; expected {names} "
-        f"(optionally uncompressed). Try: fckan fetch-data --dataset {dataset} "
-        f"--data-dir {data_dir}"
-    )
-
-
 def _model_config(args, parser) -> ModelConfig:
     functions = ()
     if args.functions:
@@ -94,20 +74,21 @@ def _model_config(args, parser) -> ModelConfig:
             parser.error("fc-kan needs --functions, e.g. --functions sin,cos")
         if args.combine is not None and len(functions) < 2:
             parser.error("--combine needs at least 2 functions")
+    given = {k: v for k in ("grid_size", "spline_order")
+             if (v := getattr(args, k, None)) is not None}
     spline = None
-    grid_size = getattr(args, "grid_size", None)
-    spline_order = getattr(args, "spline_order", None)
-    if grid_size is not None or spline_order is not None:
+    if given:
         base = MODELS[args.model].spline
         if base is None:
-            parser.error(f"--grid-size/--spline-order only apply to spline models")
-        spline = BasisKind(
-            name=base.name,
-            grid_size=grid_size if grid_size is not None else base.grid_size,
-            spline_order=spline_order if spline_order is not None else base.spline_order,
-            lo=base.lo,
-            hi=base.hi,
-        )
+            parser.error("--grid-size/--spline-order only apply to spline models")
+        try:
+            spline = dataclasses.replace(base, **given)
+        except TypeError:  # a flag the model's grid type has no field for
+            fields = {f.name for f in dataclasses.fields(base)}
+            bad = ", ".join("--" + k.replace("_", "-") for k in given if k not in fields)
+            parser.error(f"{args.model}'s {type(base).__name__} takes no {bad}")
+        except ValueError as e:
+            parser.error(str(e))
     try:
         return ModelConfig(
             kind=args.model,
@@ -135,8 +116,7 @@ def cmd_train(args, parser) -> int:
         )
     except ValueError as e:
         parser.error(str(e))
-    directory = _resolve_data_dir(args.data_dir, args.dataset)
-    splits = load_dataset(args.dataset, directory)
+    splits = load_dataset(args.dataset, args.data_dir)
     log = None if args.quiet else lambda s: print(s)
     started = time.time()
     runs, aggregate = run_experiment(model_cfg, train_cfg, splits=splits, log=log)

@@ -84,13 +84,26 @@ def _read_file(path: str) -> bytes:
     return raw
 
 
-def _find(directory: str, stem: str) -> str:
+def _path(directory: str, stem: str):
+    """The file of an IDX stem in directory, plain or .gz; None if neither exists."""
     for name in (stem, stem + ".gz"):
         p = os.path.join(directory, name)
         if os.path.exists(p):
             return p
+    return None
+
+
+def dataset_dir(name: str, root: str) -> str:
+    """The directory holding all four IDX files of a dataset: <root>/<name>,
+    else <root>."""
+    stems = [s for pair in SPLIT_FILES.values() for s in pair]
+    for d in (os.path.join(root, name), root):
+        if all(_path(d, s) for s in stems):
+            return d
     raise FileNotFoundError(
-        f"missing dataset file {stem}[.gz] under {directory}"
+        f"{name} files not found under {root!r} or {os.path.join(root, name)!r}; "
+        f"expected {', '.join(s + '[.gz]' for s in stems)}. "
+        f"Try: fckan fetch-data --dataset {name} --data-dir {root}"
     )
 
 
@@ -112,7 +125,8 @@ def load_labels(path: str) -> np.ndarray:
 
 
 def load_dataset(name: str, directory: str):
-    """Load the official train and validation (10k test) splits.
+    """Load the official train and validation (10k test) splits from
+    ``dataset_dir(name, directory)``.
 
     Returns (train, val) DatasetSplits and enforces the official layout:
     60000/10000 examples, 784 pixels in [0, 1], labels in [0, 9].
@@ -121,10 +135,11 @@ def load_dataset(name: str, directory: str):
         raise DataError(f"unknown dataset {name!r}, expected one of {DATASET_NAMES}")
     if directory is None:
         raise DataError(f"no data directory given to load {name} from")
+    directory = dataset_dir(name, directory)
     splits = []
     for split, (img_stem, lbl_stem) in SPLIT_FILES.items():
-        images = load_images(_find(directory, img_stem))
-        labels = load_labels(_find(directory, lbl_stem))
+        images = load_images(_path(directory, img_stem))
+        labels = load_labels(_path(directory, lbl_stem))
         if images.shape[0] != labels.shape[0]:
             raise DataError(
                 f"{name}/{split}: {images.shape[0]} images vs {labels.shape[0]} labels"

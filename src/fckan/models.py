@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import FCKAN_FUNCTIONS, BasisKind
+from .basis import FCKAN_FUNCTIONS, BSplineGrid, RBFGrid, grid_from_record, grid_record
 from .tensor import (
     Tensor,
     apply_unary,
@@ -52,7 +52,7 @@ class ModelConfig:
     widths: tuple = (784, 64, 10)
     functions: tuple = ()  # fc-kan only, drawn from FCKAN_FUNCTIONS
     combine: str = "sum"  # fc-kan only, ignored when one function
-    spline: BasisKind | None = None  # grid config for the spline kinds
+    spline: BSplineGrid | RBFGrid | None = None  # spline kinds only, of their default's type
     seed: int = 0
 
     def __post_init__(self):
@@ -72,33 +72,30 @@ class ModelConfig:
                     )
             if self.combine not in ("sum", "product"):
                 raise ConfigError(f"combine must be 'sum' or 'product': {self.combine!r}")
-        elif self.functions:
-            raise ConfigError(f"{self.kind} takes no function set")
+        elif self.functions or self.combine != "sum":
+            raise ConfigError(f"{self.kind} takes no function set and no combine method")
+        default = MODELS[self.kind].spline
         if self.spline is None:
-            object.__setattr__(self, "spline", MODELS[self.kind].spline)
+            object.__setattr__(self, "spline", default)
+        elif default is None:
+            raise ConfigError(f"{self.kind} takes no grid")
+        elif type(self.spline) is not type(default):
+            raise ConfigError(f"{self.kind} needs a {type(default).__name__}, "
+                              f"got {type(self.spline).__name__}")
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "kind": self.kind,
             "widths": list(self.widths),
             "functions": list(self.functions),
             "combine": self.combine,
             "seed": self.seed,
-            "spline": None,
+            "spline": None if self.spline is None else grid_record(self.spline),
         }
-        if self.spline is not None:
-            d["spline"] = {
-                "name": self.spline.name,
-                "grid_size": self.spline.grid_size,
-                "spline_order": self.spline.spline_order,
-                "lo": self.spline.lo,
-                "hi": self.spline.hi,
-            }
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        spline = BasisKind(**d["spline"]) if d.get("spline") else None
+        spline = grid_from_record(d["spline"]) if d.get("spline") else None
         return cls(
             kind=d["kind"],
             widths=tuple(d["widths"]),
@@ -123,10 +120,6 @@ class Model:
     config: ModelConfig
     layers: list = field(default_factory=list)  # per-layer dict of Tensors
     params: list = field(default_factory=list)  # flat, stable order
-
-    @property
-    def param_count(self) -> int:
-        return count_params(self)
 
     def forward(self, X: Tensor, tape=None) -> Tensor:
         return MODELS[self.config.kind].forward(self, X, tape)
@@ -255,21 +248,21 @@ def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
     return h
 
 
-def _spline(sp: BasisKind) -> BasisKind:
+def _spline(sp):
     return sp
 
 
-def _rbf(sp: BasisKind) -> BasisKind:
+def _rbf(sp) -> RBFGrid:
     """One Gaussian RBF per basis function of ``sp``, over its range; an RBF
     ``sp`` gives itself."""
-    return BasisKind.rbf(sp.num_basis, sp.lo, sp.hi)
+    return RBFGrid(sp.num_basis, sp.lo, sp.hi)
 
 
 @dataclass(frozen=True)
 class ModelKind:
     params: tuple  # names from LAYER_PARAMS, in initialization order
     forward: object  # (model, X, tape) -> logits
-    spline: BasisKind | None = None  # default grid of a spline kind
+    spline: BSplineGrid | RBFGrid | None = None  # default grid of a spline kind
     grids: tuple = ()  # spline -> grid, one per expansion forward_spline_kan sums
 
 
@@ -280,11 +273,11 @@ MODELS = {
     "mlp": ModelKind(_LN + ("weight",), forward_mlp),
     "fc-kan": ModelKind(_LN + ("weight",), forward_fckan),
     "efficient-kan": ModelKind(_SPLINE + ("spline_scaler",), forward_spline_kan,
-                               BasisKind.bspline(5, 3, -1.0, 1.0), (_spline,)),
+                               BSplineGrid(5, 3, -1.0, 1.0), (_spline,)),
     "fast-kan": ModelKind(_LN + _SPLINE, forward_spline_kan,
-                          BasisKind.rbf(8, -2.0, 2.0), (_rbf,)),
+                          RBFGrid(8, -2.0, 2.0), (_rbf,)),
     "bsrbf-kan": ModelKind(_LN + _SPLINE, forward_spline_kan,
-                           BasisKind.bspline(5, 3, -1.5, 1.5), (_spline, _rbf)),
+                           BSplineGrid(5, 3, -1.5, 1.5), (_spline, _rbf)),
 }
 MODEL_KINDS = tuple(MODELS)
 

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from . import kernels
-from .basis import UNARY_OP_KINDS, BasisKind, grid_spec
+from .basis import UNARY_OP_KINDS
 
 _ids = itertools.count()
 
@@ -146,9 +146,8 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
     return _emit(tape, out, (a, b), bwd)
 
 
-def apply_unary(tape, kind, x: Tensor) -> Tensor:
+def apply_unary(tape, name: str, x: Tensor) -> Tensor:
     """Elementwise basis function; backward uses the analytic derivative."""
-    name = kind.name if isinstance(kind, BasisKind) else kind
     if name not in UNARY_OP_KINDS:
         raise UnsupportedKindError(
             f"apply_unary supports {UNARY_OP_KINDS}, got {name!r}"
@@ -262,24 +261,22 @@ def sum_all(tape, x: Tensor) -> Tensor:
     return _emit(tape, out, (x,), bwd)
 
 
-def basis_expand(tape, x: Tensor, kind: BasisKind) -> Tensor:
-    """Expand each entry of [m x d] to its basis vector, giving [m x d*nb].
+def basis_expand(tape, x: Tensor, grid) -> Tensor:
+    """Expand each entry of [m x d] to its basis vector on a BSplineGrid or
+    RBFGrid, giving [m x d*nb].
 
     Column block i*nb..(i+1)*nb-1 holds the nb basis values of input
     feature i, matching the row layout of the spline weight matrices.
     """
-    if kind.is_elementwise:
-        raise UnsupportedKindError(f"basis_expand needs a grid kind, got {kind.name!r}")
-    spec = grid_spec(kind)
     m, d = x.shape
-    nb = spec.num_basis
+    nb = grid.num_basis
     flat = x.data.ravel().astype(np.float64)
-    out = Tensor(spec.values(flat).reshape(m, d * nb).astype(np.float32))
+    out = Tensor(grid.values(flat).reshape(m, d * nb).astype(np.float32))
 
     def bwd(dout):
         if not x.requires_grad:
             return (None,)
-        dx = (dout.reshape(m * d, nb) * spec.derivs(flat)).sum(axis=1)
+        dx = (dout.reshape(m * d, nb) * grid.derivs(flat)).sum(axis=1)
         return (dx.reshape(m, d).astype(np.float32),)
 
     return _emit(tape, out, (x,), bwd)

@@ -3,36 +3,18 @@ import os
 import numpy as np
 import pytest
 
-from fckan.data import DatasetSplit, load_dataset
+from fckan.data import DatasetSplit, dataset_dir, load_dataset
 
 DATA_ROOT = os.environ.get(
     "FCKAN_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "data")
 )
 
-_STEMS = (
-    "train-images-idx3-ubyte",
-    "train-labels-idx1-ubyte",
-    "t10k-images-idx3-ubyte",
-    "t10k-labels-idx1-ubyte",
-)
-
-
-def dataset_dir(name):
-    """Directory holding the four IDX files for a dataset, or None."""
-    for d in (os.path.join(DATA_ROOT, name), DATA_ROOT):
-        if all(
-            os.path.exists(os.path.join(d, s)) or os.path.exists(os.path.join(d, s + ".gz"))
-            for s in _STEMS
-        ):
-            return d
-    return None
-
-
 def require_dataset(name):
-    d = dataset_dir(name)
-    if d is None:
+    """Directory holding the four IDX files of a dataset; skips if they are absent."""
+    try:
+        return dataset_dir(name, DATA_ROOT)
+    except FileNotFoundError:
         pytest.skip(f"{name} IDX files not available (set FCKAN_DATA_DIR)")
-    return d
 
 
 @pytest.fixture(scope="session")

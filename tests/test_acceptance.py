@@ -159,15 +159,14 @@ class TestC6PropertySuite:
                   f"rel err < 1e-2 (op-level checks live in the unit suite)")
 
     def test_bspline_partition_and_support(self):
-        from fckan.basis import BasisKind, bspline_basis
+        from fckan.basis import BSplineGrid
 
-        kind = BasisKind.bspline(5, 3, -1.0, 1.0)
+        grid = BSplineGrid(5, 3, -1.0, 1.0)
         xs = np.linspace(-1 + 1e-9, 1 - 1e-9, 1000)
         worst = 0.0
-        for x in xs:
-            vals = bspline_basis(x, kind)
+        for vals in grid.values(xs):
             worst = max(worst, abs(vals.sum() - 1.0))
-            assert np.count_nonzero(vals) <= kind.spline_order + 1
+            assert np.count_nonzero(vals) <= grid.spline_order + 1
         assert worst <= 1e-6
         _ok("6b", f"partition of unity within {worst:.2e} over 1000 points, "
                   f"support <= k+1")

@@ -46,6 +46,22 @@ class TestParams:
     def test_bad_widths_usage_error(self):
         assert main(["params", "--model", "mlp", "--widths", "78a,64"]) == 2
 
+    def test_grid_flags_change_the_spline_count(self, capsys):
+        # per layer: base + scaler in*out, spline in*(G+k)*out with G+k = 5
+        rc = main(["params", "--model", "efficient-kan", "--widths", "16,8,4",
+                   "--grid-size", "3", "--spline-order", "2", "--expect", "1120"])
+        assert rc == 0
+        assert "1120" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "fast-kan", "--spline-order", "7"], "RBFGrid takes no --spline-order"),
+        (["--model", "mlp", "--grid-size", "3"], "only apply to spline models"),
+        (["--model", "efficient-kan", "--grid-size", "0"], "grid_size >= 1"),
+    ])
+    def test_grid_flags_the_model_cannot_use(self, capsys, argv, message):
+        assert main(["params", "--widths", "16,8,4"] + argv) == 2
+        assert message in capsys.readouterr().err
+
     def test_per_layer_breakdown(self, capsys):
         main(["params", "--model", "mlp"])
         out = capsys.readouterr().out

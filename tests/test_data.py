@@ -11,6 +11,7 @@ from fckan.data import (
     DataError,
     IdxFormatError,
     batch_iter,
+    dataset_dir,
     load_dataset,
     load_images,
     load_labels,
@@ -118,6 +119,32 @@ class TestLoaders:
         (tmp_path / "t10k-labels-idx1-ubyte").write_bytes(label_fixture([1, 2, 3]))
         with pytest.raises(DataError, match="3 images vs 2 labels"):
             load_dataset("mnist", str(tmp_path))
+
+    def test_dataset_directory_choice(self, tmp_path):
+        stems = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte",
+                 "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+        with pytest.raises(FileNotFoundError, match="fckan fetch-data --dataset mnist"):
+            dataset_dir("mnist", str(tmp_path))
+        for stem in stems:
+            (tmp_path / stem).write_bytes(b"")
+        assert dataset_dir("mnist", str(tmp_path)) == str(tmp_path)
+        (tmp_path / "mnist").mkdir()
+        for stem in stems[:3]:  # an incomplete <root>/<name> is passed over
+            (tmp_path / "mnist" / (stem + ".gz")).write_bytes(b"")
+        assert dataset_dir("mnist", str(tmp_path)) == str(tmp_path)
+        (tmp_path / "mnist" / stems[3]).write_bytes(b"")
+        assert dataset_dir("mnist", str(tmp_path)) == str(tmp_path / "mnist")
+
+    def test_loads_from_dataset_subdirectory(self, tmp_path):
+        imgs = np.zeros((3, 28, 28), dtype=np.uint8)
+        sub = tmp_path / "fashion-mnist"
+        sub.mkdir()
+        (sub / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(image_fixture(imgs)))
+        (sub / "train-labels-idx1-ubyte").write_bytes(label_fixture([1, 2]))
+        (sub / "t10k-images-idx3-ubyte").write_bytes(image_fixture(imgs))
+        (sub / "t10k-labels-idx1-ubyte").write_bytes(label_fixture([1, 2, 3]))
+        with pytest.raises(DataError, match="fashion-mnist/train: 3 images vs 2 labels"):
+            load_dataset("fashion-mnist", str(tmp_path))
 
 
 class TestRealDatasets:

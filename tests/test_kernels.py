@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import dense_bspline
 from fckan import kernels
-from fckan.basis import BasisKind, grid_spec
+from fckan.basis import BSplineGrid
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -17,7 +17,7 @@ def grid_and_inputs(draw, order):
     g = draw(st.integers(1, 8))
     lo = draw(st.floats(-100.0, 100.0))
     hi = lo + draw(st.floats(1e-3, 100.0))
-    knots = grid_spec(BasisKind.bspline(g, order, lo, hi)).centers
+    knots = BSplineGrid(g, order, lo, hi).knots
     span = knots[-1] - knots[0]
 
     def floats(a, b):
@@ -49,7 +49,7 @@ def test_bspline_matches_dense_oracle(order, data):
 
 
 def test_rows_outside_span_are_zero_and_non_finite_rows_follow_recursion():
-    knots = grid_spec(BasisKind.bspline(5, 3)).centers
+    knots = BSplineGrid(5, 3).knots
     x = np.array([knots[0] - 1.0, knots[-1], knots[-1] + 1.0, np.nan, np.inf, -np.inf])
     values = kernels.bspline_values(x, knots, 3)
     assert not values[:3].any()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fckan.basis import BSplineGrid, RBFGrid, grid_record
 from fckan.models import (
     CheckpointError,
     ConfigError,
@@ -17,7 +20,7 @@ from fckan.models import (
     save_model,
 )
 from fckan.tensor import Tensor
-from gradcheck import check_model_grads
+from gradcheck import check_model_grads, check_model_grads_scaled
 
 RNG = np.random.default_rng(0)
 X16 = RNG.uniform(-1, 1, (4, 16)).astype(np.float32)
@@ -56,6 +59,31 @@ class TestConfig:
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
         cfg2 = toy_config("efficient-kan")
         assert ModelConfig.from_dict(cfg2.to_dict()) == cfg2
+        cfg3 = toy_config("fast-kan", spline=RBFGrid(5, -1.0, 3.0))
+        assert cfg3.to_dict()["spline"]["spline_order"] == 0
+        assert ModelConfig.from_dict(cfg3.to_dict()) == cfg3
+
+    def test_grid_must_be_of_the_kinds_family(self):
+        with pytest.raises(ConfigError, match="needs a BSplineGrid"):
+            ModelConfig(kind="efficient-kan", spline=RBFGrid())
+        with pytest.raises(ConfigError, match="needs a BSplineGrid"):
+            ModelConfig(kind="bsrbf-kan", spline=RBFGrid())
+        with pytest.raises(ConfigError, match="needs a RBFGrid"):
+            ModelConfig(kind="fast-kan", spline=BSplineGrid())
+        saved = dict(toy_config("efficient-kan").to_dict(), spline=grid_record(RBFGrid()))
+        with pytest.raises(ConfigError, match="needs a BSplineGrid"):
+            ModelConfig.from_dict(saved)
+
+    def test_no_grid_on_elementwise_kinds(self):
+        with pytest.raises(ConfigError, match="takes no grid"):
+            ModelConfig(kind="mlp", spline=BSplineGrid())
+        with pytest.raises(ConfigError, match="takes no grid"):
+            ModelConfig(kind="fc-kan", functions=("sin",), spline=RBFGrid())
+
+    @pytest.mark.parametrize("kind", ["mlp", "efficient-kan", "fast-kan", "bsrbf-kan"])
+    def test_combine_only_on_fckan(self, kind):
+        with pytest.raises(ConfigError, match="combine"):
+            ModelConfig(kind=kind, combine="product")
 
 
 class TestParamCounts:
@@ -268,6 +296,39 @@ class TestEndToEndGradients:
     def test_every_parameter_matches_fd(self, kind, kw):
         model = build_model(toy_config(kind, **kw))
         check_model_grads(model, X16, Y16, tol=1e-2)
+
+
+@st.composite
+def small_models(draw):
+    """A random smooth model: 2-4 layers 3-6 wide, with a random grid or
+    function set, plus 3 input rows, their labels and a seeded generator.
+
+    relu and B-splines of order 0-1 are left out, since central differences
+    across their kinks disagree with any derivative; widths start at 3, since
+    a layer norm over 1 or 2 features has a constant output.
+    """
+    widths = tuple(draw(st.lists(st.integers(3, 6), min_size=3, max_size=5)))
+    kind = draw(st.sampled_from(["fc-kan", "efficient-kan", "fast-kan", "bsrbf-kan"]))
+    lo, hi = draw(st.floats(-3.0, -1.0)), draw(st.floats(1.0, 3.0))
+    if kind == "fc-kan":
+        fns = draw(st.lists(st.sampled_from(["sin", "cos", "arctan"]), min_size=1, max_size=4))
+        kw = {"functions": fns, "combine": draw(st.sampled_from(["sum", "product"]))}
+    elif kind == "fast-kan":
+        kw = {"spline": RBFGrid(draw(st.integers(2, 8)), lo, hi)}
+    else:
+        kw = {"spline": BSplineGrid(draw(st.integers(1, 6)), draw(st.integers(2, 4)), lo, hi)}
+    config = ModelConfig(kind, widths=widths, seed=draw(st.integers(0, 2**16)), **kw)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.uniform(-1, 1, (3, widths[0])).astype(np.float32)
+    return config, X, rng.integers(0, widths[-1], 3), rng
+
+
+class TestGradientProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(small_models())
+    def test_random_models_match_fd(self, case):
+        config, X, y, rng = case
+        check_model_grads_scaled(build_model(config), X, y, rng)
 
 
 class TestCheckpoint:
