@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 import argparse
 import dataclasses
 import glob
+import math
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ from . import __version__
 from .bench import bench_suite, format_table, machine_meta, write_csv
 from .data import DATASET_NAMES, SPLIT_FILES, load_dataset
 from .models import (
+    COMBINE_OPS,
     ModelConfig,
     MODEL_KINDS,
     MODELS,
@@ -39,64 +41,47 @@ DATA_URLS = {
 DATA_FILES = tuple(stem + ".gz" for pair in SPLIT_FILES.values() for stem in pair)
 
 
-def _parse_ints(text: str, flag: str, parser):
+def _parse_ints(text: str) -> tuple:
+    """argparse type of --widths and --seeds: comma-separated integers."""
     try:
         values = tuple(int(v) for v in text.split(",") if v != "")
     except ValueError:
-        parser.error(f"{flag} expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
     if not values:
-        parser.error(f"{flag} expects at least one integer")
+        raise argparse.ArgumentTypeError("expects at least one integer")
     return values
 
 
-def _parse_percent(text: str, parser):
+def _percent(text: str) -> float:
+    """argparse type of --tolerance: a finite percentage >= 0, '%' optional."""
     try:
-        return float(text.rstrip("%"))
+        value = float(text.rstrip("%"))
     except ValueError:
-        parser.error(f"--tolerance expects a percentage like 0.05, got {text!r}")
-
-
-def _default_data_dir() -> str:
-    return os.environ.get("FCKAN_DATA_DIR", "data")
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expects a finite percentage >= 0, got {text!r}")
+    return value
 
 
 def _model_config(args, parser) -> ModelConfig:
-    functions = ()
-    if args.functions:
-        functions = tuple(f.strip() for f in args.functions.split(",") if f.strip())
-    if args.model != "fc-kan":
-        if functions:
-            parser.error(f"--functions only applies to fc-kan, not {args.model}")
-        if args.combine is not None:
-            parser.error(f"--combine only applies to fc-kan, not {args.model}")
-    else:
-        if not functions:
-            parser.error("fc-kan needs --functions, e.g. --functions sin,cos")
-        if args.combine is not None and len(functions) < 2:
-            parser.error("--combine needs at least 2 functions")
+    """The ModelConfig the model flags describe; the config checks the values."""
+    functions = tuple(f.strip() for f in (args.functions or "").split(",") if f.strip())
+    if args.combine is not None and len(functions) < 2:
+        parser.error("--combine needs at least 2 functions")
     given = {k: v for k in ("grid_size", "spline_order")
-             if (v := getattr(args, k, None)) is not None}
-    spline = None
-    if given:
-        base = MODELS[args.model].spline
-        if base is None:
-            parser.error("--grid-size/--spline-order only apply to spline models")
-        try:
-            spline = dataclasses.replace(base, **given)
-        except TypeError:  # a flag the model's grid type has no field for
-            fields = {f.name for f in dataclasses.fields(base)}
-            bad = ", ".join("--" + k.replace("_", "-") for k in given if k not in fields)
-            parser.error(f"{args.model}'s {type(base).__name__} takes no {bad}")
-        except ValueError as e:
-            parser.error(str(e))
+             if (v := getattr(args, k)) is not None}
+    base = MODELS[args.model].spline
+    if given and base is None:
+        parser.error("--grid-size/--spline-order only apply to spline models")
     try:
-        return ModelConfig(
-            kind=args.model,
-            widths=getattr(args, "widths", (784, 64, 10)),
-            functions=functions,
-            combine=args.combine or "sum",
-            spline=spline,
-        )
+        spline = dataclasses.replace(base, **given) if given else None
+        return ModelConfig(kind=args.model, widths=args.widths, functions=functions,
+                           combine=args.combine or "sum", spline=spline)
+    except TypeError:  # from replace: a flag the model's grid type has no field for
+        fields = {f.name for f in dataclasses.fields(base)}
+        bad = ", ".join("--" + k.replace("_", "-") for k in given if k not in fields)
+        parser.error(f"{args.model}'s {type(base).__name__} takes no {bad}")
     except ValueError as e:
         parser.error(str(e))
 
@@ -104,26 +89,19 @@ def _model_config(args, parser) -> ModelConfig:
 def cmd_train(args, parser) -> int:
     model_cfg = _model_config(args, parser)
     try:
-        train_cfg = TrainConfig(
-            dataset=args.dataset,
-            epochs=args.epochs,
-            batch_size=args.batch,
-            lr0=args.lr,
-            gamma=args.gamma,
-            weight_decay=args.weight_decay,
-            runs=args.runs,
-            seeds=args.seeds,
-        )
+        train_cfg = TrainConfig(**{f.name: getattr(args, f.name)
+                                   for f in dataclasses.fields(TrainConfig)
+                                   if hasattr(args, f.name)})
     except ValueError as e:
         parser.error(str(e))
-    splits = load_dataset(args.dataset, args.data_dir)
-    log = None if args.quiet else lambda s: print(s)
+    splits = load_dataset(train_cfg.dataset, args.data_dir)
+    log = None if args.quiet else print
     started = time.time()
     runs, aggregate = run_experiment(model_cfg, train_cfg, splits=splits, log=log)
     record = make_record(model_cfg, train_cfg, runs, aggregate, started, time.time())
     write_record(record, args.out)
     print(
-        f"{args.dataset}: val acc {aggregate.val_acc_mean:.2f} ± "
+        f"{train_cfg.dataset}: val acc {aggregate.val_acc_mean:.2f} ± "
         f"{aggregate.val_acc_std:.2f}, F1 {aggregate.f1_mean:.2f} ± "
         f"{aggregate.f1_std:.2f} over {aggregate.runs} runs "
         f"({aggregate.wall_seconds_mean:.1f} s/run) -> {args.out}"
@@ -132,7 +110,10 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    results = bench_suite(n=args.n, repeats=args.repeats)
+    try:
+        results = bench_suite(n=args.n, repeats=args.repeats)
+    except ValueError as e:  # --n or --repeats out of range
+        parser.error(str(e))
     meta = machine_meta()
     print(f"n={args.n} repeats={args.repeats}")
     print(f"machine: {meta['platform']} ({meta['cpus']} cpus)")
@@ -214,48 +195,54 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fckan", description=__doc__)
     parser.add_argument("--version", action="version", version=f"fckan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    data_dir = os.environ.get("FCKAN_DATA_DIR", "data")
 
-    def add_model_flags(p, widths=False):
+    def add_model_flags(p):
         p.add_argument("--model", required=True, choices=MODEL_KINDS)
         p.add_argument("--functions", help="comma list for fc-kan, e.g. sin,cos")
-        p.add_argument("--combine", choices=("sum", "product"))
-        if widths:
-            p.add_argument("--widths", default="784,64,10")
-            p.add_argument("--grid-size", type=int, dest="grid_size")
-            p.add_argument("--spline-order", type=int, dest="spline_order")
+        p.add_argument("--combine", choices=tuple(COMBINE_OPS))
+        p.add_argument("--widths", type=_parse_ints, default=ModelConfig.widths)
+        p.add_argument("--grid-size", type=int)
+        p.add_argument("--spline-order", type=int)
 
     t = sub.add_parser("train", help="train a model and write an experiment record")
+    t.set_defaults(run=cmd_train)
     add_model_flags(t)
-    t.add_argument("--dataset", choices=DATASET_NAMES, default="mnist")
-    t.add_argument("--epochs", type=int, default=None,
+    t.add_argument("--dataset", choices=DATASET_NAMES, default=TrainConfig.dataset)
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs,
                    help="default 25 on mnist, 35 on fashion-mnist")
-    t.add_argument("--batch", type=int, default=64)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--gamma", type=float, default=0.8)
-    t.add_argument("--weight-decay", type=float, default=1e-4)
-    t.add_argument("--runs", type=int, default=3)
-    t.add_argument("--seeds", default="0,1,2")
-    t.add_argument("--data-dir", default=None)
+    t.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int,
+                   default=TrainConfig.batch_size)
+    t.add_argument("--lr", dest="lr0", metavar="LR", type=float, default=TrainConfig.lr0)
+    t.add_argument("--gamma", type=float, default=TrainConfig.gamma)
+    t.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    t.add_argument("--runs", type=int, default=TrainConfig.runs)
+    t.add_argument("--seeds", type=_parse_ints, default=TrainConfig.seeds)
+    t.add_argument("--data-dir", default=data_dir)
     t.add_argument("--out", default="experiment.json")
     t.add_argument("--quiet", action="store_true")
 
     b = sub.add_parser("bench", help="basis-function throughput microbenchmark")
+    b.set_defaults(run=cmd_bench)
     b.add_argument("--n", type=int, default=1_000_000)
     b.add_argument("--repeats", type=int, default=10)
     b.add_argument("--out", default=None, help="CSV path")
 
     p = sub.add_parser("params", help="audit parameter counts")
-    add_model_flags(p, widths=True)
+    p.set_defaults(run=cmd_params)
+    add_model_flags(p)
     p.add_argument("--expect", type=int, default=None)
-    p.add_argument("--tolerance", default="0.05", help="percent, default 0.05")
+    p.add_argument("--tolerance", type=_percent, default=0.05, help="percent, default 0.05")
 
     r = sub.add_parser("report", help="render a Markdown table from records")
+    r.set_defaults(run=cmd_report)
     r.add_argument("--inputs", nargs="+", required=True, help="glob(s) of record JSONs")
     r.add_argument("--out", default=None)
 
     f = sub.add_parser("fetch-data", help="download the IDX files")
+    f.set_defaults(run=cmd_fetch_data)
     f.add_argument("--dataset", choices=DATASET_NAMES + ("all",), default="all")
-    f.add_argument("--data-dir", default=None)
+    f.add_argument("--data-dir", default=data_dir)
     f.add_argument("--print-urls", action="store_true",
                    help="list the canonical URLs without downloading")
     return parser
@@ -263,24 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    handlers = {
-        "train": cmd_train,
-        "bench": cmd_bench,
-        "params": cmd_params,
-        "report": cmd_report,
-        "fetch-data": cmd_fetch_data,
-    }
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seeds", None) is not None and isinstance(args.seeds, str):
-            args.seeds = _parse_ints(args.seeds, "--seeds", parser)
-        if getattr(args, "widths", None) is not None and isinstance(args.widths, str):
-            args.widths = _parse_ints(args.widths, "--widths", parser)
-        if isinstance(getattr(args, "tolerance", None), str):
-            args.tolerance = _parse_percent(args.tolerance, parser)
-        if hasattr(args, "data_dir") and args.data_dir is None:
-            args.data_dir = _default_data_dir()
-        return handlers[args.command](args, parser)
+        return args.run(args, parser)
     except SystemExit as e:  # argparse --help or usage errors
         return int(e.code or 0)
     except (OSError, ValueError, ReportError, TrainingDiverged) as e:

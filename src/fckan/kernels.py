@@ -66,15 +66,15 @@ def unary_derivs(name, x):
     return _unary(name, 1)(x)
 
 
-def _local_bases(x, knots, order, degree):
-    """Knot cell of each x and the degree-``degree`` B-splines nonzero on it.
+def _local_bases(x, knots, order):
+    """Knot cell of each x and the order-``order`` B-splines nonzero on it.
 
-    Cell j is the half-open interval t_j <= x < t_{j+1}. Returns j, the knots
-    t[m] = t_{j+m} for -order < m <= order, and the list b with b[c] =
-    N_{j-degree+c}(x) for c = 0..degree. An x in no cell (outside the knot
-    span, NaN, +-inf) is given cell 0 and all-zero values. The knot vector is
-    extended by ``order`` steps past each end so that every t_{j+m} exists;
-    the extension only reaches basis indices outside [0, nbasis).
+    Cell j is the half-open interval t_j <= x < t_{j+1}. Returns j and the
+    list b with b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell
+    (outside the knot span, NaN, +-inf) is given cell 0 and all-zero values.
+    The knot vector is extended by ``order`` steps past each end so that
+    every knot the recursion reads exists; the extension only reaches basis
+    indices outside [0, nbasis).
     """
     last = knots.shape[0] - 2
     j = np.searchsorted(knots, x, side="right") - 1
@@ -87,10 +87,10 @@ def _local_bases(x, knots, order, degree):
         knots[-1] + (knots[-1] - knots[-2]) * np.arange(1, order + 1),
     ])
     t = {m: ext[j + order + m] for m in range(1 - order, order + 1)}
-    below = {m: x - t[m] for m in range(1 - degree, 1)}
-    above = {m: t[m] - x for m in range(1, degree + 1)}
+    below = {m: x - t[m] for m in range(1 - order, 1)}
+    above = {m: t[m] - x for m in range(1, order + 1)}
     b = [inside.astype(np.float64)]
-    for r in range(1, degree + 1):
+    for r in range(1, order + 1):
         # N_i^r = (x - t_i) / (t_{i+r} - t_i) N_i^{r-1}
         #       + (t_{i+r+1} - x) / (t_{i+r+1} - t_{i+1}) N_{i+1}^{r-1},
         # where b[c] = N_i^{r-1} for i = j - r + 1 + c feeds N_{i-1}^r and N_i^r
@@ -100,7 +100,7 @@ def _local_bases(x, knots, order, degree):
             raised.append(carry + above[c + 1] / d * b[c])
             carry = below[c + 1 - r] / d * b[c]
         b = raised + [carry]
-    return j, t, b
+    return j, b
 
 
 def _scatter(cols, j, nbasis, order):
@@ -132,29 +132,30 @@ def bspline_values(x, knots, order):
     order 1 on, as the full Cox-de Boor recursion gives them.
     """
     nbasis = knots.shape[0] - order - 1
-    j, _, b = _local_bases(x, knots, order, order)
+    j, b = _local_bases(x, knots, order)
     out = _scatter(b, j, nbasis, order)
     if order >= 1:
         out[~np.isfinite(x)] = np.nan
     return out
 
 
-def bspline_derivs(x, knots, order):
-    """First derivatives of the order-``order`` basis functions at each x.
+# bspline_derivs calls the values under this name, so a tracer that replaces
+# the module's public kernels never times one inside the other
+_bspline = bspline_values
 
-    Rows of NaN or +-inf x are NaN from order 2 on, zero below.
+
+def bspline_derivs(x, knots, order):
+    """First derivatives of the order-``order`` basis functions at each x,
+
+        d/dx N_i^k = k * (N_i^{k-1} / (t_{i+k} - t_i) - N_{i+1}^{k-1} / (t_{i+k+1} - t_{i+1})),
+
+    from the order-(k-1) values on the same knots. Rows of NaN or +-inf x
+    are NaN from order 2 on, zero below.
     """
-    nbasis = knots.shape[0] - order - 1
     if order == 0:
-        return np.zeros((x.shape[0], nbasis), dtype=np.float64)
-    j, t, b = _local_bases(x, knots, order, order - 1)
-    # d/dx N_i^k = k * (N_i^{k-1} / (t_{i+k} - t_i) - N_{i+1}^{k-1} / (t_{i+k+1} - t_{i+1}))
-    q = [b[c] / (t[c + 1] - t[c + 1 - order]) for c in range(order)]
-    cols = [order * (lo - hi) for lo, hi in zip([0.0] + q, q + [0.0])]
-    out = _scatter(cols, j, nbasis, order)
-    if order >= 2:
-        out[~np.isfinite(x)] = np.nan
-    return out
+        return np.zeros((x.shape[0], knots.shape[0] - 1), dtype=np.float64)
+    q = _bspline(x, knots, order - 1) / (knots[order:] - knots[:-order])
+    return order * (q[:, :-1] - q[:, 1:])
 
 
 def rbf_values(x, centers, h):

@@ -42,6 +42,10 @@ CHECKPOINT_MAGIC = b"FCKN"
 CHECKPOINT_VERSION = 1
 
 
+# fc-kan combine method -> the elementwise op that merges two outputs
+COMBINE_OPS = {"sum": "add", "product": "mul"}
+
+
 class ConfigError(ValueError):
     """Invalid model configuration."""
 
@@ -70,8 +74,9 @@ class ModelConfig:
                     raise ConfigError(
                         f"fc-kan functions come from {FCKAN_FUNCTIONS}, got {f!r}"
                     )
-            if self.combine not in ("sum", "product"):
-                raise ConfigError(f"combine must be 'sum' or 'product': {self.combine!r}")
+            if self.combine not in COMBINE_OPS:
+                raise ConfigError(f"combine must be one of {tuple(COMBINE_OPS)}: "
+                                  f"{self.combine!r}")
         elif self.functions or self.combine != "sum":
             raise ConfigError(f"{self.kind} takes no function set and no combine method")
         default = MODELS[self.kind].spline
@@ -205,10 +210,7 @@ def _fckan_pass(model: Model, X: Tensor, fn: str, tape) -> Tensor:
 
 def forward_fckan(model: Model, X: Tensor, tape=None) -> Tensor:
     _check_input(model, X)
-    fns = model.config.functions
-    if not fns:
-        raise ConfigError("fc-kan has an empty function set")
-    outputs = [_fckan_pass(model, X, fn, tape) for fn in fns]
+    outputs = [_fckan_pass(model, X, fn, tape) for fn in model.config.functions]
     return combine_outputs(tape, outputs, model.config.combine)
 
 
@@ -216,12 +218,11 @@ def combine_outputs(tape, outputs, method: str) -> Tensor:
     """Merge per-function outputs elementwise; identity for a single output."""
     if not outputs:
         raise ConfigError("combine_outputs needs at least one tensor")
-    if method not in ("sum", "product"):
-        raise ConfigError(f"combine must be 'sum' or 'product': {method!r}")
-    op = "add" if method == "sum" else "mul"
+    if method not in COMBINE_OPS:
+        raise ConfigError(f"combine must be one of {tuple(COMBINE_OPS)}: {method!r}")
     merged = outputs[0]
     for o in outputs[1:]:
-        merged = elementwise(tape, op, merged, o)
+        merged = elementwise(tape, COMBINE_OPS[method], merged, o)
     return merged
 
 

@@ -6,8 +6,9 @@ bit-identical losses. The wall time recorded for a run covers the whole
 loop including the per-epoch validation passes.
 """
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +23,20 @@ class TrainingDiverged(RuntimeError):
 
 def default_epochs(dataset: str) -> int:
     return 35 if dataset == "fashion-mnist" else 25
+
+
+# TrainConfig field -> (test on a finite value, the rule it states)
+_TRAIN_RULES = (
+    ("batch_size", lambda v: v >= 1, ">= 1"),
+    ("runs", lambda v: v >= 1, ">= 1"),
+    ("epochs", lambda v: v >= 0, ">= 0"),
+    ("lr0", lambda v: v > 0, "finite and > 0"),
+    ("gamma", lambda v: v > 0, "finite and > 0"),
+    ("weight_decay", lambda v: v >= 0, "finite and >= 0"),
+    ("beta1", lambda v: 0 <= v < 1, "finite and in [0, 1)"),
+    ("beta2", lambda v: 0 <= v < 1, "finite and in [0, 1)"),
+    ("adam_eps", lambda v: v > 0, "finite and > 0"),
+)
 
 
 @dataclass(frozen=True)
@@ -42,29 +57,15 @@ class TrainConfig:
         if self.epochs is None:
             object.__setattr__(self, "epochs", default_epochs(self.dataset))
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name, ok, rule in _TRAIN_RULES:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and ok(value)):
+                raise ValueError(f"{name} must be {rule}, got {value}")
         if len(self.seeds) < self.runs:
             raise ValueError(f"{self.runs} runs need {self.runs} seeds, got {self.seeds}")
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr0": self.lr0,
-            "gamma": self.gamma,
-            "weight_decay": self.weight_decay,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "runs": self.runs,
-            "seeds": list(self.seeds),
-        }
+        return {**asdict(self), "seeds": list(self.seeds)}
 
 
 @dataclass
@@ -84,16 +85,7 @@ class RunMetrics:
         return self.train_acc[-1] if self.train_acc else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "train_loss": self.train_loss,
-            "train_acc": self.train_acc,
-            "val_acc": self.val_acc,
-            "final_val_acc": self.final_val_acc,
-            "final_f1": self.final_f1,
-            "final_train_acc": self.final_train_acc,
-            "wall_seconds": self.wall_seconds,
-        }
+        return {**asdict(self), "final_train_acc": self.final_train_acc}
 
 
 @dataclass

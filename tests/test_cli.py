@@ -89,6 +89,25 @@ class TestUsageValidation:
     def test_bad_function_name(self):
         assert main(["params", "--model", "fc-kan", "--functions", "sin,log"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bench", "--n", "0"], "n must be >= 1"),
+        (["bench", "--repeats", "1"], "repeats must be >= 3"),
+        (["params", "--model", "mlp", "--expect", "52512", "--tolerance", "-1"],
+         "argument --tolerance"),
+        (["params", "--model", "mlp", "--expect", "52512", "--tolerance", "nan"],
+         "argument --tolerance"),
+        (["params", "--model", "mlp", "--expect", "52512", "--tolerance", "inf%"],
+         "argument --tolerance"),
+        (["params", "--model", "mlp", "--widths", ","], "argument --widths"),
+        (["train", "--model", "mlp", "--seeds", "0,x"], "argument --seeds"),
+        (["train", "--model", "mlp", "--combine", "product"],
+         "--combine needs at least 2 functions"),
+        (["params", "--model", "fc-kan"], "fc-kan needs between 1 and 4 functions"),
+    ])
+    def test_bad_values_are_usage_errors(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBench:
     def test_writes_csv_with_eight_rows(self, tmp_path, capsys):
@@ -165,6 +184,29 @@ class TestTrainCommand:
         rc = main(["train", "--model", "mlp", "--data-dir", str(tmp_path), flag, value])
         assert rc == 2
         assert "must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--lr", "nan", "lr0"), ("--lr", "0", "lr0"), ("--gamma", "-1", "gamma"),
+        ("--weight-decay", "-5", "weight_decay"),
+    ])
+    def test_invalid_optimiser_setting_is_usage_error(self, tmp_path, capsys, flag,
+                                                      value, field):
+        # exits 2 before looking for data; the empty data dir would give 1
+        rc = main(["train", "--model", "mlp", "--data-dir", str(tmp_path), flag, value])
+        assert rc == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+
+    def test_model_flags_parse_and_only_the_data_is_missing(self, tmp_path, capsys):
+        rc = main(["train", "--model", "efficient-kan", "--grid-size", "3",
+                   "--spline-order", "2", "--widths", "784,16,10",
+                   "--data-dir", str(tmp_path), "--quiet"])
+        assert rc == 1
+        assert "fetch-data" in capsys.readouterr().err
+
+    def test_data_dir_defaults_to_the_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FCKAN_DATA_DIR", str(tmp_path / "from-env"))
+        assert main(["train", "--model", "mlp", "--quiet"]) == 1
+        assert "from-env" in capsys.readouterr().err
 
     def test_zero_epoch_run_writes_schema_complete_record(self, tmp_path, capsys):
         data_dir = require_dataset("mnist")

@@ -58,6 +58,20 @@ def test_rows_outside_span_are_zero_and_non_finite_rows_follow_recursion():
     assert not kernels.bspline_derivs(x, knots, 1)[3:].any()
 
 
+def test_bspline_derivs_do_not_call_the_public_values_kernel(monkeypatch):
+    # a tracer that wraps both public kernels must not count the values inside
+    # the derivatives a second time
+    knots = BSplineGrid(5, 3).knots
+    x = np.linspace(-1.0, 1.0, 7)
+    want = kernels.bspline_derivs(x, knots, 3)
+
+    def forbidden(*args):
+        raise AssertionError("bspline_derivs called bspline_values")
+
+    monkeypatch.setattr(kernels, "bspline_values", forbidden)
+    np.testing.assert_array_equal(kernels.bspline_derivs(x, knots, 3), want)
+
+
 def test_unknown_unary_kind_raises():
     x = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError, match="sigmoid"):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -164,8 +167,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(runs=4, seeds=(0, 1, 2))
 
-    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("runs", 0),
-                                             ("epochs", -1)])
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("runs", 0), ("epochs", -1),
+        ("lr0", 0.0), ("lr0", -1e-3), ("lr0", math.nan), ("lr0", math.inf),
+        ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.nan),
+        ("weight_decay", -5.0), ("weight_decay", math.inf),
+        ("beta1", -0.1), ("beta1", 1.0), ("beta2", 1.0), ("beta2", math.nan),
+        ("adam_eps", 0.0), ("adam_eps", -math.inf),
+    ])
     def test_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -173,6 +182,22 @@ class TestTrainConfig:
     def test_smallest_valid_values(self):
         cfg = TrainConfig(batch_size=1, runs=1, epochs=0)
         assert (cfg.batch_size, cfg.runs, cfg.epochs) == (1, 1, 0)
+
+    def test_edges_of_the_optimiser_ranges_are_valid(self):
+        TrainConfig(lr0=1e-30, gamma=1e-30, weight_decay=0.0, beta1=0.0, beta2=0.0,
+                    adam_eps=1e-30)
+        TrainConfig(beta1=0.999999, beta2=0.999999)
+
+    def test_record_keys_are_the_fields(self):
+        d = TrainConfig(seeds=(4, 5, 6)).to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(TrainConfig)]
+        assert d["seeds"] == [4, 5, 6] and d["epochs"] == 25
+
+    def test_run_record_is_the_fields_plus_final_train_acc(self):
+        d = _run(3, 97.0).to_dict()
+        assert d == {"seed": 3, "train_loss": [1.0], "train_acc": [90.0],
+                     "val_acc": [97.0], "final_val_acc": 97.0, "final_f1": 96.95,
+                     "wall_seconds": 10.0, "final_train_acc": 90.0}
 
 
 class TestTrainModel:
