@@ -34,33 +34,27 @@ class BenchResult:
     checksum: float
 
 
-def _make_pass(name: str, grid, n: int):
-    # uniform float64 inputs over the kind's bench range
+def _make_pass(name: str, n: int):
+    # uniform float64 inputs over the kind's bench range; a grid kind
+    # evaluates its family's default grid
     x = np.random.default_rng(0).uniform(*KINDS[name].bench, size=n)
-    if grid is None:
+    family = KINDS[name].grid
+    if family is None:
         x32 = x.astype(np.float32)
         return lambda: kernels.unary_values(name, x32)
+    grid = family()
     return lambda: grid.values(x)
 
 
-def bench_function(kind, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
-    """Time one function over n elements, repeats times plus a warm-up.
-
-    ``kind`` is a kind name, whose grid kinds time their family's default
-    grid, or a BSplineGrid or RBFGrid.
-    """
+def bench_function(name: str, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
+    """Time one function over n elements, repeats times plus a warm-up."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
-    name = kind if isinstance(kind, str) else kind.name
     if name not in BENCH_KINDS:
         raise ValueError(f"benchmark covers {BENCH_KINDS}, got {name!r}")
-    grid = kind
-    if isinstance(kind, str):
-        family = KINDS[name].grid
-        grid = family() if family else None
-    one_pass = _make_pass(name, grid, n)
+    one_pass = _make_pass(name, n)
     out = one_pass()  # warm-up, untimed
     times = np.empty(repeats, dtype=np.float64)
     for r in range(repeats):

@@ -28,7 +28,6 @@ from .models import (
     MODELS,
     build_model,
     count_params,
-    layer_param_counts,
 )
 from .report import ReportError, load_record, make_record, render_report, write_record
 from .training import TrainConfig, TrainingDiverged, run_experiment
@@ -128,8 +127,8 @@ def cmd_params(args, parser) -> int:
     model_cfg = _model_config(args, parser)
     model = build_model(model_cfg)
     total = count_params(model)
-    for name, n in layer_param_counts(model):
-        print(f"{name:<10} {n:>10}")
+    for i, layer in enumerate(model.layers):
+        print(f"{f'layer {i}':<10} {sum(t.data.size for t in layer.values()):>10}")
     print(f"{'total':<10} {total:>10}")
     if args.expect is not None:
         tolerance = args.expect * args.tolerance / 100.0

@@ -123,14 +123,9 @@ def _scatter(cols, j, nbasis, order):
     return out
 
 
-def bspline_values(x, knots, order):
-    """All order-``order`` B-spline basis values at each x.
-
-    x: float64 [n]; knots: strictly increasing float64 [nbasis + order + 1].
-    Returns float64 [n, nbasis] with nbasis = len(knots) - order - 1. Rows of
-    x outside the knot span are zero; rows of NaN or +-inf x are NaN from
-    order 1 on, as the full Cox-de Boor recursion gives them.
-    """
+def _bspline(x, knots, order):
+    # the body of bspline_values, which bspline_derivs calls too: a tracer
+    # that replaces the public kernels then never times one inside the other
     nbasis = knots.shape[0] - order - 1
     j, b = _local_bases(x, knots, order)
     out = _scatter(b, j, nbasis, order)
@@ -139,9 +134,15 @@ def bspline_values(x, knots, order):
     return out
 
 
-# bspline_derivs calls the values under this name, so a tracer that replaces
-# the module's public kernels never times one inside the other
-_bspline = bspline_values
+def bspline_values(x, knots, order):
+    """All order-``order`` B-spline basis values at each x.
+
+    x: float64 [n]; knots: strictly increasing float64 [nbasis + order + 1].
+    Returns float64 [n, nbasis] with nbasis = len(knots) - order - 1. Rows of
+    x outside the knot span are zero; rows of NaN or +-inf x are NaN from
+    order 1 on, as the full Cox-de Boor recursion gives them.
+    """
+    return _bspline(x, knots, order)
 
 
 def bspline_derivs(x, knots, order):

@@ -3,7 +3,8 @@
 Every model is a stack of width-to-width layers over the shared autograd
 ops, and every model kind is one entry of ``MODELS``: the parameters of each
 layer in the order they are initialized, its forward function and, for the
-spline kinds, the default grid and the grids whose expansions are summed.
+spline kinds, the default grid and whether a Gaussian RBF expansion over the
+same range is added to the grid's own.
 
 The function-combining KAN (kind "fc-kan") runs the input through one
 shared-weight pass per elementwise function in its set and merges the
@@ -100,15 +101,12 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        spline = grid_from_record(d["spline"]) if d.get("spline") else None
-        return cls(
-            kind=d["kind"],
-            widths=tuple(d["widths"]),
-            functions=tuple(d.get("functions", ())),
-            combine=d.get("combine", "sum"),
-            spline=spline,
-            seed=d.get("seed", 0),
-        )
+        """The config a dict written by to_dict describes."""
+        try:  # a non-mapping fails at **d, before the spline is read
+            return cls(**{**d, "spline": grid_from_record(d["spline"])
+                          if d.get("spline") else None})
+        except TypeError as e:  # not a mapping, or a missing, unknown or mistyped field
+            raise ConfigError(f"bad model config: {e}") from None
 
 
 @dataclass
@@ -168,15 +166,6 @@ def count_params(model: Model) -> int:
     return sum(p.tensor.data.size for p in model.params)
 
 
-def layer_param_counts(model: Model) -> list:
-    """Per-layer (name, count) pairs for the parameter report."""
-    out = []
-    for i, layer in enumerate(model.layers):
-        total = sum(t.data.size for t in layer.values())
-        out.append((f"layer {i}", total))
-    return out
-
-
 def _check_input(model: Model, X: Tensor):
     d0 = model.config.widths[0]
     if X.shape[1] != d0:
@@ -233,7 +222,9 @@ def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
     _check_input(model, X)
     sp = model.config.spline
     nb = sp.num_basis
-    grids = [grid(sp) for grid in MODELS[model.config.kind].grids]
+    grids = [sp]
+    if MODELS[model.config.kind].plus_rbf:
+        grids.append(RBFGrid(nb, sp.lo, sp.hi))
     h = X
     for layer in model.layers:
         if "ln_gamma" in layer:
@@ -249,22 +240,12 @@ def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
     return h
 
 
-def _spline(sp):
-    return sp
-
-
-def _rbf(sp) -> RBFGrid:
-    """One Gaussian RBF per basis function of ``sp``, over its range; an RBF
-    ``sp`` gives itself."""
-    return RBFGrid(sp.num_basis, sp.lo, sp.hi)
-
-
 @dataclass(frozen=True)
 class ModelKind:
     params: tuple  # names from LAYER_PARAMS, in initialization order
     forward: object  # (model, X, tape) -> logits
     spline: BSplineGrid | RBFGrid | None = None  # default grid of a spline kind
-    grids: tuple = ()  # spline -> grid, one per expansion forward_spline_kan sums
+    plus_rbf: bool = False  # also expand one Gaussian RBF per basis function of the grid
 
 
 _LN = ("ln_gamma", "ln_beta")
@@ -274,11 +255,11 @@ MODELS = {
     "mlp": ModelKind(_LN + ("weight",), forward_mlp),
     "fc-kan": ModelKind(_LN + ("weight",), forward_fckan),
     "efficient-kan": ModelKind(_SPLINE + ("spline_scaler",), forward_spline_kan,
-                               BSplineGrid(5, 3, -1.0, 1.0), (_spline,)),
+                               BSplineGrid(5, 3, -1.0, 1.0)),
     "fast-kan": ModelKind(_LN + _SPLINE, forward_spline_kan,
-                          RBFGrid(8, -2.0, 2.0), (_rbf,)),
+                          RBFGrid(8, -2.0, 2.0)),
     "bsrbf-kan": ModelKind(_LN + _SPLINE, forward_spline_kan,
-                           BSplineGrid(5, 3, -1.5, 1.5), (_spline, _rbf)),
+                           BSplineGrid(5, 3, -1.5, 1.5), plus_rbf=True),
 }
 MODEL_KINDS = tuple(MODELS)
 
@@ -319,7 +300,10 @@ def load_model(path) -> Model:
             raise CheckpointError(f"unsupported checkpoint version: {version}")
         (n,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
         blob = _read_exact(f, n, "config JSON")
-        config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
+        try:
+            config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
+        except ValueError as e:  # undecodable JSON or an invalid config
+            raise CheckpointError(f"bad config in checkpoint: {e}") from None
         model = build_model(config)
         for p in model.params:
             rows, cols = struct.unpack("<II", _read_exact(f, 8, f"{p.name} shape"))

@@ -64,6 +64,8 @@ def load_record(path) -> dict:
             record = json.load(f)
     except json.JSONDecodeError as e:
         raise ReportError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(record, dict):
+        raise ReportError(f"{path}: a record is a JSON object, got {type(record).__name__}")
     missing = [k for k in RECORD_KEYS if k not in record]
     if missing:
         raise ReportError(f"{path}: record is missing keys {missing}")
@@ -79,18 +81,20 @@ def render_report(records) -> str:
     if not records:
         raise ReportError("no experiment records to report")
     rows = []
-    for rec in records:
-        agg = rec["aggregate"]
-        rows.append(
-            {
-                "dataset": rec["train"]["dataset"],
-                "model": model_label(rec["model"]),
-                "train_acc": (agg["train_acc"]["mean"], agg["train_acc"]["std"]),
-                "val_acc": (agg["val_acc"]["mean"], agg["val_acc"]["std"]),
-                "f1": (agg["f1"]["mean"], agg["f1"]["std"]),
-                "time": agg["wall_seconds_mean"],
-            }
-        )
+    for i, rec in enumerate(records):
+        try:
+            agg = rec["aggregate"]
+            rows.append(
+                {
+                    "dataset": rec["train"]["dataset"],
+                    "model": model_label(rec["model"]),
+                    **{k: (float(agg[k]["mean"]), float(agg[k]["std"]))
+                       for k in ("train_acc", "val_acc", "f1")},
+                    "time": float(agg["wall_seconds_mean"]),
+                }
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise ReportError(f"record {i}: missing or non-numeric field ({e!r})") from None
     lines = [
         "| Dataset | Model | Train. Acc. | Val. Acc. | F1 | Time (s) |",
         "|---|---|---|---|---|---|",

@@ -12,17 +12,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import DatasetSplit, batch_iter, load_dataset
+from .data import DataError, DatasetSplit, batch_iter
 from .models import Model, ModelConfig, build_model
 from .tensor import Tape, Tensor, softmax_cross_entropy
 
 
 class TrainingDiverged(RuntimeError):
     """Non-finite loss or gradient encountered."""
-
-
-def default_epochs(dataset: str) -> int:
-    return 35 if dataset == "fashion-mnist" else 25
 
 
 # TrainConfig field -> (test on a finite value, the rule it states)
@@ -55,7 +51,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs is None:
-            object.__setattr__(self, "epochs", default_epochs(self.dataset))
+            object.__setattr__(self, "epochs", 35 if self.dataset == "fashion-mnist" else 25)
         object.__setattr__(self, "seeds", tuple(self.seeds))
         for name, ok, rule in _TRAIN_RULES:
             value = getattr(self, name)
@@ -169,7 +165,7 @@ class AdamW:
             )
 
 
-def classification_metrics(preds, labels, num_classes=None):
+def classification_metrics(preds, labels, num_classes: int):
     """(accuracy %, macro F1 %) from predicted and true labels.
 
     Per-class F1 = 2TP / (2TP + FP + FN), taken as 0 when the denominator
@@ -177,8 +173,6 @@ def classification_metrics(preds, labels, num_classes=None):
     """
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
-    if num_classes is None:
-        num_classes = int(max(preds.max(), labels.max())) + 1
     acc = float((preds == labels).mean() * 100.0)
     f1s = np.zeros(num_classes)
     for c in range(num_classes):
@@ -200,16 +194,12 @@ def evaluate(model: Model, split: DatasetSplit, batch_size: int = 1000):
     return classification_metrics(preds, split.labels, model.config.widths[-1])
 
 
-def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
-                splits=None, data_dir=None, log=None) -> RunMetrics:
-    """Train one run and return its metrics.
-
-    ``splits`` short-circuits dataset loading (pass (train, val)); otherwise
-    the dataset named in train_cfg is loaded from data_dir.
-    """
-    if splits is None:
-        splits = load_dataset(train_cfg.dataset, data_dir)
+def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
+                log=None) -> RunMetrics:
+    """Train one run on ``splits`` = (train, val) and return its metrics."""
     train, val = splits
+    if not (train.n and val.n):
+        raise DataError(f"cannot train with an empty split: train has {train.n} rows, val {val.n}")
     seed = model_cfg.seed
     model = build_model(model_cfg)
     opt = AdamW(
@@ -221,7 +211,6 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
     )
     metrics = RunMetrics(seed=seed)
     t0 = time.perf_counter()
-    val_f1 = None
     for epoch in range(train_cfg.epochs):
         lr = lr_schedule(epoch, train_cfg.lr0, train_cfg.gamma)
         loss_sum = 0.0
@@ -249,19 +238,17 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig,
                 f"epoch {epoch:3d}  lr {lr:.2e}  loss {metrics.train_loss[-1]:.4f}  "
                 f"train {metrics.train_acc[-1]:.2f}%  val {val_acc:.2f}%"
             )
-    if val_f1 is None:  # zero-epoch run: evaluate the untrained model once
-        metrics.final_val_acc, metrics.final_f1 = evaluate(model, val)
-    else:
-        metrics.final_val_acc, metrics.final_f1 = metrics.val_acc[-1], val_f1
+    if train_cfg.epochs == 0:  # evaluate the untrained model once
+        val_acc, val_f1 = evaluate(model, val)
+    metrics.final_val_acc, metrics.final_f1 = val_acc, val_f1
     metrics.wall_seconds = time.perf_counter() - t0
     return metrics
 
 
-def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig,
-                   splits=None, data_dir=None, log=None):
-    """Train train_cfg.runs seeds sequentially; returns (runs, aggregate)."""
-    if splits is None:
-        splits = load_dataset(train_cfg.dataset, data_dir)
+def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
+                   log=None):
+    """Train train_cfg.runs seeds sequentially on ``splits``; returns (runs,
+    aggregate)."""
     runs = []
     for seed in train_cfg.seeds[: train_cfg.runs]:
         cfg = replace(model_cfg, seed=seed)

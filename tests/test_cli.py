@@ -149,6 +149,32 @@ class TestReport:
         assert rc == 1
         assert "bad.json" in capsys.readouterr().err
 
+    def test_record_that_is_not_an_object_fails(self, tmp_path, capsys):
+        bad = tmp_path / "three.json"
+        bad.write_text("3")
+        assert main(["report", "--inputs", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "three.json" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("val_acc", None),
+        ("val_acc", {"mean": 97.0}),
+        ("val_acc", {"mean": "high", "std": 0.5}),
+        ("wall_seconds_mean", [1.0]),
+    ], ids=["missing", "missing-std", "string-mean", "list-time"])
+    def test_malformed_nested_field_fails(self, tmp_path, capsys, field, value):
+        path = tmp_path / "a.json"
+        fake_record(path)
+        record = json.loads(path.read_text())
+        if value is None:
+            del record["aggregate"][field]
+        else:
+            record["aggregate"][field] = value
+        path.write_text(json.dumps(record))
+        assert main(["report", "--inputs", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_writes_output_file(self, tmp_path):
         fake_record(tmp_path / "a.json")
         out = tmp_path / "table.md"

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from fckan.basis import BSplineGrid, RBFGrid, grid_record
 from fckan.models import (
+    MODEL_KINDS,
     CheckpointError,
     ConfigError,
     Model,
@@ -62,6 +65,14 @@ class TestConfig:
         cfg3 = toy_config("fast-kan", spline=RBFGrid(5, -1.0, 3.0))
         assert cfg3.to_dict()["spline"]["spline_order"] == 0
         assert ModelConfig.from_dict(cfg3.to_dict()) == cfg3
+
+    def test_from_dict_rejects_an_unknown_or_missing_key(self):
+        d = toy_config("mlp").to_dict()
+        with pytest.raises(ConfigError, match="width"):
+            ModelConfig.from_dict({**d, "width": 8})
+        del d["kind"]
+        with pytest.raises(ConfigError, match="kind"):
+            ModelConfig.from_dict(d)
 
     def test_grid_must_be_of_the_kinds_family(self):
         with pytest.raises(ConfigError, match="needs a BSplineGrid"):
@@ -365,6 +376,29 @@ class TestCheckpoint:
         save_model(model, path)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(CheckpointError):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_load_and_save_is_byte_identical(self, tmp_path, kind):
+        kw = {"functions": ("sin", "cos"), "combine": "product"} if kind == "fc-kan" else {}
+        path, again = tmp_path / "model.fckn", tmp_path / "again.fckn"
+        save_model(build_model(toy_config(kind, **kw)), path)
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("blob", [
+        b"{ not json",
+        b"\xff\xfe",
+        b"[1, 2]",
+        b'{"widths": [16, 8, 4]}',
+        b'{"kind": "mlp", "widths": "ab"}',
+        b'{"kind": "mlp", "widths": null}',
+        b'{"kind": "efficient-kan", "spline": [1]}',
+    ], ids=["json", "utf8", "list", "no-kind", "str-widths", "null-widths", "list-spline"])
+    def test_bad_config_blob_rejected(self, tmp_path, blob):
+        path = tmp_path / "model.fckn"
+        path.write_bytes(b"FCKN" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(CheckpointError, match="bad config"):
             load_model(path)
 
     def test_every_truncation_offset_rejected(self, tmp_path):

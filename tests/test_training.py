@@ -263,13 +263,15 @@ class TestTrainModel:
             with pytest.raises(TrainingDiverged, match="epoch|parameter"):
                 train_model(cfg, tc, splits=(split, split))
 
-    def test_no_splits_and_no_data_dir_is_a_data_error(self):
-        cfg = ModelConfig(kind="mlp", widths=(784, 8, 10))
-        tc = TrainConfig(epochs=1, runs=1, seeds=(0,))
-        with pytest.raises(DataError, match="no data directory"):
-            train_model(cfg, tc)
-        with pytest.raises(DataError, match="no data directory"):
-            run_experiment(cfg, tc, splits=None, data_dir=None)
+    @pytest.mark.parametrize("empty", ["train", "val"])
+    def test_empty_split_is_a_data_error(self, empty):
+        split = synthetic_split(n=32, d=16, classes=4)
+        splits = {"train": split, "val": split}
+        splits[empty] = synthetic_split(n=0, d=16, classes=4, name="nothing")
+        cfg = ModelConfig(kind="mlp", widths=(16, 8, 4))
+        tc = TrainConfig(epochs=1, batch_size=16, runs=1, seeds=(0,))
+        with pytest.raises(DataError, match="empty split"):
+            train_model(cfg, tc, splits=(splits["train"], splits["val"]))
 
     def test_run_experiment_aggregates_seeds(self):
         split = synthetic_split(n=64, d=16, classes=4)
