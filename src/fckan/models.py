@@ -10,6 +10,9 @@ The function-combining KAN (kind "fc-kan") runs the input through one
 shared-weight pass per elementwise function in its set and merges the
 per-function outputs elementwise (sum or product); because the linear
 weights are shared across passes, its parameter count equals the MLP's.
+Layer 0's layer norm sees the same input in every pass, so it is computed
+once and its output is shared by all of them; from layer 1 on, each pass
+normalises its own input.
 
 Spline models expand inputs against a grid basis per layer:
 
@@ -66,6 +69,8 @@ class ModelConfig:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ConfigError(f"widths need >= 2 entries, all >= 1: {self.widths}")
+        if type(self.seed) is not int or self.seed < 0:  # bool is an int subclass
+            raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
         object.__setattr__(self, "functions", tuple(self.functions))
         if self.kind == "fc-kan":
             if not 1 <= len(self.functions) <= 4:
@@ -188,10 +193,11 @@ def forward_mlp(model: Model, X: Tensor, tape=None) -> Tensor:
     return h
 
 
-def _fckan_pass(model: Model, X: Tensor, fn: str, tape) -> Tensor:
-    h = X
-    for layer in model.layers:
-        h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
+def _fckan_pass(model: Model, h: Tensor, fn: str, tape) -> Tensor:
+    """One function's pass over the layer-normed input h of layer 0."""
+    for i, layer in enumerate(model.layers):
+        if i:  # from layer 1 on, each function's pass has its own input
+            h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
         h = apply_unary(tape, fn, h)
         h = matmul(tape, h, layer["weight"])
     return h
@@ -199,7 +205,9 @@ def _fckan_pass(model: Model, X: Tensor, fn: str, tape) -> Tensor:
 
 def forward_fckan(model: Model, X: Tensor, tape=None) -> Tensor:
     _check_input(model, X)
-    outputs = [_fckan_pass(model, X, fn, tape) for fn in model.config.functions]
+    first = model.layers[0]
+    h = layer_norm(tape, X, first["ln_gamma"], first["ln_beta"])  # shared by every pass
+    outputs = [_fckan_pass(model, h, fn, tape) for fn in model.config.functions]
     return combine_outputs(tape, outputs, model.config.combine)
 
 

@@ -69,6 +69,10 @@ def load_record(path) -> dict:
     missing = [k for k in RECORD_KEYS if k not in record]
     if missing:
         raise ReportError(f"{path}: record is missing keys {missing}")
+    try:
+        _table_row(record)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ReportError(f"{path}: missing or non-numeric field ({e!r})") from None
     return record
 
 
@@ -76,25 +80,23 @@ def _cell(mean: float, std: float) -> str:
     return f"{mean:.2f} ± {std:.2f}"
 
 
+def _table_row(record: dict) -> dict:
+    """The fields of a record that its table row shows."""
+    agg = record["aggregate"]
+    return {
+        "dataset": record["train"]["dataset"],
+        "model": model_label(record["model"]),
+        **{k: (float(agg[k]["mean"]), float(agg[k]["std"]))
+           for k in ("train_acc", "val_acc", "f1")},
+        "time": float(agg["wall_seconds_mean"]),
+    }
+
+
 def render_report(records) -> str:
-    """Markdown table over a list of experiment records."""
+    """Markdown table over a list of records read by load_record."""
     if not records:
         raise ReportError("no experiment records to report")
-    rows = []
-    for i, rec in enumerate(records):
-        try:
-            agg = rec["aggregate"]
-            rows.append(
-                {
-                    "dataset": rec["train"]["dataset"],
-                    "model": model_label(rec["model"]),
-                    **{k: (float(agg[k]["mean"]), float(agg[k]["std"]))
-                       for k in ("train_acc", "val_acc", "f1")},
-                    "time": float(agg["wall_seconds_mean"]),
-                }
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise ReportError(f"record {i}: missing or non-numeric field ({e!r})") from None
+    rows = [_table_row(rec) for rec in records]
     lines = [
         "| Dataset | Model | Train. Acc. | Val. Acc. | F1 | Time (s) |",
         "|---|---|---|---|---|---|",

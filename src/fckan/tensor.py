@@ -201,10 +201,13 @@ def layer_norm(tape, x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
         )
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    sq = xc * xc
+    var = sq.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + np.float32(eps))
-    y = xc * inv
-    out = Tensor(y * gamma.data + beta.data)
+    # xc and sq are this call's own: normalise in place, then write the affine
+    # output over the squared deviations, which only the variance needed
+    y = np.multiply(xc, inv, out=xc)
+    out = Tensor(np.add(np.multiply(y, gamma.data, out=sq), beta.data, out=sq))
 
     def bwd(dout):
         dgamma = (dout * y).sum(axis=0, keepdims=True) if gamma.requires_grad else None

@@ -175,6 +175,17 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_malformed_record_is_named_by_its_file(self, tmp_path, capsys):
+        fake_record(tmp_path / "a.json")
+        bad = tmp_path / "b.json"
+        fake_record(bad)
+        record = json.loads(bad.read_text())
+        del record["aggregate"]["val_acc"]
+        bad.write_text(json.dumps(record))
+        assert main(["report", "--inputs", str(tmp_path / "*.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err and "a.json" not in err
+
     def test_writes_output_file(self, tmp_path):
         fake_record(tmp_path / "a.json")
         out = tmp_path / "table.md"

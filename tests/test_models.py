@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from fckan.models import (
     load_model,
     save_model,
 )
-from fckan.tensor import Tensor
-from gradcheck import check_model_grads, check_model_grads_scaled
+from fckan.tensor import Tape, Tensor, softmax_cross_entropy
+from gradcheck import check_grads, check_model_grads, check_model_grads_scaled
 
 RNG = np.random.default_rng(0)
 X16 = RNG.uniform(-1, 1, (4, 16)).astype(np.float32)
 Y16 = np.array([0, 1, 3, 2])
+FOUR_FNS = ("sin", "cos", "arctan", "relu")
 
 
 def toy_config(kind, **kw):
@@ -90,6 +92,11 @@ class TestConfig:
             ModelConfig(kind="mlp", spline=BSplineGrid())
         with pytest.raises(ConfigError, match="takes no grid"):
             ModelConfig(kind="fc-kan", functions=("sin",), spline=RBFGrid())
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, -1, True, None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            ModelConfig(kind="mlp", seed=seed)
 
     @pytest.mark.parametrize("kind", ["mlp", "efficient-kan", "fast-kan", "bsrbf-kan"])
     def test_combine_only_on_fckan(self, kind):
@@ -248,6 +255,26 @@ class TestFckanCombination:
         d = forward_fckan(double, Tensor(X16)).data
         assert np.allclose(d, 2.0 * s, rtol=1e-6)
 
+    @pytest.mark.parametrize("fns", [FOUR_FNS[:n] for n in range(1, 5)])
+    def test_one_layer0_norm_feeds_every_pass(self, fns):
+        model = build_model(toy_config("fc-kan", functions=fns, combine="product"))
+        tape = Tape()
+        forward_fckan(model, Tensor(X16), tape)
+        gamma = model.layers[0]["ln_gamma"]
+        norms = [n for n in tape._nodes if any(t is gamma for t in n.inputs)]
+        assert len(norms) == 1
+        h = norms[0].output
+        assert sum(any(t is h for t in n.inputs) for n in tape._nodes) == len(fns)
+
+    def test_layer0_norm_gradients_match_fd(self):
+        model = build_model(toy_config("fc-kan", functions=FOUR_FNS, combine="product"))
+        first = model.layers[0]
+
+        def loss_builder(tape):
+            return softmax_cross_entropy(tape, forward_fckan(model, Tensor(X16), tape), Y16)
+
+        check_grads(loss_builder, [first["ln_gamma"], first["ln_beta"]], metric="vector")
+
 
 class TestCombineOutputs:
     def test_product(self):
@@ -394,7 +421,11 @@ class TestCheckpoint:
         b'{"kind": "mlp", "widths": "ab"}',
         b'{"kind": "mlp", "widths": null}',
         b'{"kind": "efficient-kan", "spline": [1]}',
-    ], ids=["json", "utf8", "list", "no-kind", "str-widths", "null-widths", "list-spline"])
+        b'{"kind": "mlp", "seed": "x"}',
+        b'{"kind": "mlp", "seed": 1.5}',
+        b'{"kind": "mlp", "seed": -1}',
+    ], ids=["json", "utf8", "list", "no-kind", "str-widths", "null-widths", "list-spline",
+            "str-seed", "float-seed", "negative-seed"])
     def test_bad_config_blob_rejected(self, tmp_path, blob):
         path = tmp_path / "model.fckn"
         path.write_bytes(b"FCKN" + struct.pack("<II", 1, len(blob)) + blob)
@@ -414,6 +445,6 @@ class TestCheckpoint:
 
 
 def _single_pass_logits(model: Model, fn: str) -> np.ndarray:
-    from fckan.models import _fckan_pass
-
-    return _fckan_pass(model, Tensor(X16), fn, None).data
+    """Logits of the same parameters with the function set reduced to fn."""
+    single = replace(model, config=replace(model.config, functions=(fn,)))
+    return forward_fckan(single, Tensor(X16)).data
