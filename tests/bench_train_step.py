@@ -26,10 +26,9 @@ import numpy as np
 
 import fckan
 from fckan.bench import machine_meta
-from fckan.models import MODEL_KINDS, ModelConfig, build_model
-from fckan.tensor import Tape, Tensor, softmax_cross_entropy
-from fckan.training import AdamW
-from golden_trajectory import BATCH, FCKAN, LR, WEIGHT_DECAY
+from fckan.models import MODEL_KINDS
+from fckan.tensor import Tensor
+from golden_trajectory import BATCH, default_model, step
 
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                            "BENCH_train_step.json")
@@ -56,9 +55,7 @@ class Kind:
     """One default model with its optimiser and fixed inputs."""
 
     def __init__(self, kind: str, steps: int):
-        cfg = ModelConfig(kind=kind, seed=0, **(FCKAN if kind == "fc-kan" else {}))
-        self.model = build_model(cfg)
-        self.opt = AdamW(self.model.params, weight_decay=WEIGHT_DECAY)
+        self.model, self.opt = default_model(kind)
         rng = np.random.default_rng(2024)
         self.batches = [(rng.random((BATCH, 784), dtype=np.float32),
                          rng.integers(0, 10, BATCH)) for _ in range(steps)]
@@ -67,11 +64,7 @@ class Kind:
     def step_ms(self) -> float:
         t0 = time.perf_counter()
         for xb, yb in self.batches:
-            tape = Tape()
-            loss = softmax_cross_entropy(tape, self.model.forward(Tensor(xb), tape=tape), yb)
-            self.opt.zero_grad()
-            tape.backward(loss)
-            self.opt.step(LR)
+            step(self.model, self.opt, xb, yb)
         return (time.perf_counter() - t0) * 1e3 / len(self.batches)
 
     def forward_ms(self) -> float:

@@ -38,20 +38,26 @@ def batches():
             for _ in range(STEPS)]
 
 
+def default_model(kind: str):
+    """(model, optimiser): the kind's default model at seed 0 and its AdamW."""
+    model = build_model(ModelConfig(kind=kind, seed=0, **(FCKAN if kind == "fc-kan" else {})))
+    return model, AdamW(model.params, weight_decay=WEIGHT_DECAY)
+
+
+def step(model, opt, xb, yb) -> float:
+    """One AdamW step on the batch (xb, yb); returns its loss."""
+    tape = Tape()
+    loss = softmax_cross_entropy(tape, model.forward(Tensor(xb), tape=tape), yb)
+    opt.zero_grad()
+    tape.backward(loss)
+    opt.step(LR)
+    return loss.item()
+
+
 def train(kind: str):
     """(model, losses) after STEPS AdamW steps of the kind's default model."""
-    cfg = ModelConfig(kind=kind, seed=0, **(FCKAN if kind == "fc-kan" else {}))
-    model = build_model(cfg)
-    opt = AdamW(model.params, weight_decay=WEIGHT_DECAY)
-    losses = []
-    for xb, yb in batches():
-        tape = Tape()
-        loss = softmax_cross_entropy(tape, model.forward(Tensor(xb), tape=tape), yb)
-        opt.zero_grad()
-        tape.backward(loss)
-        opt.step(LR)
-        losses.append(loss.item())
-    return model, losses
+    model, opt = default_model(kind)
+    return model, [step(model, opt, xb, yb) for xb, yb in batches()]
 
 
 def trajectory(kind: str) -> dict:
