@@ -96,14 +96,15 @@ def cmd_train(args, parser) -> int:
     splits = load_dataset(train_cfg.dataset, args.data_dir)
     log = None if args.quiet else print
     started = time.time()
-    runs, aggregate = run_experiment(model_cfg, train_cfg, splits=splits, log=log)
-    record = make_record(model_cfg, train_cfg, runs, aggregate, started, time.time())
+    runs = run_experiment(model_cfg, train_cfg, splits=splits, log=log)
+    record = make_record(model_cfg, train_cfg, runs, started, time.time())
     write_record(record, args.out)
+    agg = record["aggregate"]
+    va, f1 = agg["val_acc"], agg["f1"]
     print(
-        f"{train_cfg.dataset}: val acc {aggregate.val_acc_mean:.2f} ± "
-        f"{aggregate.val_acc_std:.2f}, F1 {aggregate.f1_mean:.2f} ± "
-        f"{aggregate.f1_std:.2f} over {aggregate.runs} runs "
-        f"({aggregate.wall_seconds_mean:.1f} s/run) -> {args.out}"
+        f"{train_cfg.dataset}: val acc {va['mean']:.2f} ± {va['std']:.2f}, "
+        f"F1 {f1['mean']:.2f} ± {f1['std']:.2f} over {agg['runs']} runs "
+        f"({agg['wall_seconds_mean']:.1f} s/run) -> {args.out}"
     )
     return 0
 

@@ -54,6 +54,11 @@ class ConfigError(ValueError):
     """Invalid model configuration."""
 
 
+def is_seed(value) -> bool:
+    """A valid seed is a non-negative int; bool, an int subclass, is not one."""
+    return type(value) is int and value >= 0
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
@@ -69,7 +74,7 @@ class ModelConfig:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
         if len(self.widths) < 2 or any(w < 1 for w in self.widths):
             raise ConfigError(f"widths need >= 2 entries, all >= 1: {self.widths}")
-        if type(self.seed) is not int or self.seed < 0:  # bool is an int subclass
+        if not is_seed(self.seed):
             raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
         object.__setattr__(self, "functions", tuple(self.functions))
         if self.kind == "fc-kan":

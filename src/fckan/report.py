@@ -13,7 +13,7 @@ import time
 from . import __version__
 from .bench import machine_meta
 from .models import ModelConfig
-from .training import AggregateMetrics, TrainConfig
+from .training import TrainConfig, aggregate_runs
 
 RECORD_KEYS = ("model", "train", "runs", "aggregate", "meta")
 
@@ -36,12 +36,13 @@ def model_label(model: dict) -> str:
 
 
 def make_record(model_cfg: ModelConfig, train_cfg: TrainConfig, runs,
-                aggregate: AggregateMetrics, started: float, finished: float) -> dict:
+                started: float, finished: float) -> dict:
+    """The record of ``runs``, its aggregate built by aggregate_runs."""
     return {
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
         "runs": [r.to_dict() for r in runs],
-        "aggregate": aggregate.to_dict(),
+        "aggregate": aggregate_runs(runs),
         "meta": {
             "artifact_version": __version__,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),

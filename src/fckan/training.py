@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import DataError, DatasetSplit, batch_iter
-from .models import Model, ModelConfig, build_model
+from .models import Model, ModelConfig, build_model, is_seed
 from .tensor import Tape, Tensor, softmax_cross_entropy
 
 
@@ -57,6 +57,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and ok(value)):
                 raise ValueError(f"{name} must be {rule}, got {value}")
+        if not all(is_seed(seed) for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative ints, got {self.seeds!r}")
         if len(self.seeds) < self.runs:
             raise ValueError(f"{self.runs} runs need {self.runs} seeds, got {self.seeds}")
 
@@ -82,29 +84,6 @@ class RunMetrics:
 
     def to_dict(self) -> dict:
         return {**asdict(self), "final_train_acc": self.final_train_acc}
-
-
-@dataclass
-class AggregateMetrics:
-    """Mean and sample standard deviation over a set of runs."""
-
-    runs: int
-    train_acc_mean: float
-    train_acc_std: float
-    val_acc_mean: float
-    val_acc_std: float
-    f1_mean: float
-    f1_std: float
-    wall_seconds_mean: float
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "train_acc": {"mean": self.train_acc_mean, "std": self.train_acc_std},
-            "val_acc": {"mean": self.val_acc_mean, "std": self.val_acc_std},
-            "f1": {"mean": self.f1_mean, "std": self.f1_std},
-            "wall_seconds_mean": self.wall_seconds_mean,
-        }
 
 
 def lr_schedule(epoch: int, lr0: float, gamma: float) -> float:
@@ -184,7 +163,10 @@ def classification_metrics(preds, labels, num_classes: int):
     return acc, float(f1s.mean() * 100.0)
 
 
-def evaluate(model: Model, split: DatasetSplit, batch_size: int = 1000):
+EVAL_BATCH = 1000  # rows per forward pass in evaluate
+
+
+def evaluate(model: Model, split: DatasetSplit, batch_size: int = EVAL_BATCH):
     """(accuracy %, macro F1 %) of the model on a split, without recording."""
     preds = np.empty(split.n, dtype=np.int64)
     for start in range(0, split.n, batch_size):
@@ -192,6 +174,24 @@ def evaluate(model: Model, split: DatasetSplit, batch_size: int = 1000):
         logits = model.forward(Tensor(split.images[start:stop]), tape=None)
         preds[start:stop] = logits.data.argmax(axis=1)
     return classification_metrics(preds, split.labels, model.config.widths[-1])
+
+
+def train_step(model: Model, opt: AdamW, xb, yb, lr: float):
+    """One AdamW step on the batch (xb, yb): (loss, logits) of the forward pass.
+
+    A non-finite loss raises TrainingDiverged before any update, leaving
+    parameters, gradients and the optimiser as they were.
+    """
+    tape = Tape()
+    logits = model.forward(Tensor(xb), tape=tape)
+    loss = softmax_cross_entropy(tape, logits, yb)
+    lv = loss.item()
+    if not math.isfinite(lv):
+        raise TrainingDiverged("non-finite loss")
+    opt.zero_grad()
+    tape.backward(loss)
+    opt.step(lr)
+    return lv, logits
 
 
 def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
@@ -218,15 +218,10 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
         for b, (xb, yb) in enumerate(
             batch_iter(train, train_cfg.batch_size, seed=(seed, epoch), shuffle=True)
         ):
-            tape = Tape()
-            logits = model.forward(Tensor(xb), tape=tape)
-            loss = softmax_cross_entropy(tape, logits, yb)
-            lv = loss.item()
-            if not np.isfinite(lv):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch {b}")
-            opt.zero_grad()
-            tape.backward(loss)
-            opt.step(lr)
+            try:
+                lv, logits = train_step(model, opt, xb, yb, lr)
+            except TrainingDiverged as e:
+                raise TrainingDiverged(f"{e} at epoch {epoch}, batch {b}") from e
             loss_sum += lv * len(yb)
             correct += int((logits.data.argmax(axis=1) == yb).sum())
         metrics.train_loss.append(loss_sum / train.n)
@@ -246,37 +241,28 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
 
 
 def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
-                   log=None):
-    """Train train_cfg.runs seeds sequentially on ``splits``; returns (runs,
-    aggregate)."""
+                   log=None) -> list:
+    """Train train_cfg.runs seeds sequentially on ``splits``; returns their
+    RunMetrics in seed order."""
     runs = []
     for seed in train_cfg.seeds[: train_cfg.runs]:
         cfg = replace(model_cfg, seed=seed)
         if log:
             log(f"--- run with seed {seed}")
         runs.append(train_model(cfg, train_cfg, splits=splits, log=log))
-    return runs, aggregate_runs(runs)
+    return runs
 
 
-def _mean_std(values):
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
-
-
-def aggregate_runs(runs) -> AggregateMetrics:
-    """Mean and sample std (n-1 denominator) across runs."""
+def aggregate_runs(runs) -> dict:
+    """A record's aggregate block: the run count, the mean and sample std
+    (n-1 denominator) of the final train accuracy, val accuracy and F1, and
+    the mean wall time."""
     if not runs:
         raise ValueError("aggregate_runs needs at least one run")
-    ta = _mean_std([r.final_train_acc for r in runs])
-    va = _mean_std([r.final_val_acc for r in runs])
-    f1 = _mean_std([r.final_f1 for r in runs])
-    wall = float(np.mean([r.wall_seconds for r in runs]))
-    return AggregateMetrics(
-        runs=len(runs),
-        train_acc_mean=ta[0], train_acc_std=ta[1],
-        val_acc_mean=va[0], val_acc_std=va[1],
-        f1_mean=f1[0], f1_std=f1[1],
-        wall_seconds_mean=wall,
-    )
+    aggregate = {"runs": len(runs)}
+    for key in ("train_acc", "val_acc", "f1"):
+        values = np.array([getattr(r, "final_" + key) for r in runs], dtype=np.float64)
+        aggregate[key] = {"mean": float(values.mean()),
+                          "std": float(values.std(ddof=1)) if values.size > 1 else 0.0}
+    aggregate["wall_seconds_mean"] = float(np.mean([r.wall_seconds for r in runs]))
+    return aggregate

@@ -2,10 +2,11 @@
 
 Each kind is built as in golden_trajectory.py: seed 0, widths 784-64-10,
 fc-kan with sin, cos, arctan and relu by product. One repeat times, per kind,
---steps AdamW steps (forward, backward and update at lr 1e-3, weight decay
-1e-4) on fixed random batches of 64, and one inference forward of a random
-batch of 1000. Repeats go round the kinds in turn, so host noise spreads over
-all of them, after one untimed warm-up round.
+--steps calls of fckan.training.train_step, the step train_model takes
+(forward, loss, backward and AdamW update at lr 1e-3, weight decay 1e-4), on
+fixed random batches of 64, and one inference forward of a random batch of
+1000. Repeats go round the kinds in turn, so host noise spreads over all of
+them, after one untimed warm-up round.
 
     PYTHONPATH=src python tests/bench_train_step.py [--out BENCH_train_step.json]
 
@@ -28,7 +29,8 @@ import fckan
 from fckan.bench import machine_meta
 from fckan.models import MODEL_KINDS
 from fckan.tensor import Tensor
-from golden_trajectory import BATCH, default_model, step
+from fckan.training import train_step
+from golden_trajectory import BATCH, LR, default_model
 
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                            "BENCH_train_step.json")
@@ -64,7 +66,7 @@ class Kind:
     def step_ms(self) -> float:
         t0 = time.perf_counter()
         for xb, yb in self.batches:
-            step(self.model, self.opt, xb, yb)
+            train_step(self.model, self.opt, xb, yb, LR)
         return (time.perf_counter() - t0) * 1e3 / len(self.batches)
 
     def forward_ms(self) -> float:

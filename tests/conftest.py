@@ -1,9 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from fckan.data import DatasetSplit, dataset_dir, load_dataset
+from fckan.data import OFFICIAL_COUNTS, SPLIT_FILES, DatasetSplit, dataset_dir, load_dataset
 
 DATA_ROOT = os.environ.get(
     "FCKAN_DATA_DIR", os.path.join(os.path.dirname(__file__), "..", "data")
@@ -36,3 +37,28 @@ def synthetic_split(n=120, d=16, classes=3, seed=0, name="synthetic"):
         patterns[labels] + rng.normal(0, 0.08, size=(n, d)).astype(np.float32), 0, 1
     )
     return DatasetSplit(images.astype(np.float32), labels.astype(np.int64), name)
+
+
+def label_fixture(labels):
+    return struct.pack(">II", 0x00000801, len(labels)) + bytes(labels)
+
+
+def image_fixture(images):
+    n, r, c = images.shape
+    return struct.pack(">IIII", 0x00000803, n, r, c) + images.tobytes()
+
+
+@pytest.fixture(scope="session")
+def random_mnist_dir(tmp_path_factory):
+    """A data dir holding mnist in the official layout, filled with random
+    28x28 images and labels in [0, 9]."""
+    root = tmp_path_factory.mktemp("data")
+    (root / "mnist").mkdir()
+    rng = np.random.default_rng(0)
+    for split, (images, labels) in SPLIT_FILES.items():
+        n = OFFICIAL_COUNTS[split]
+        (root / "mnist" / images).write_bytes(
+            image_fixture(rng.integers(0, 256, (n, 28, 28), dtype=np.uint8)))
+        (root / "mnist" / labels).write_bytes(
+            label_fixture(rng.integers(0, 10, n, dtype=np.uint8)))
+    return str(root)

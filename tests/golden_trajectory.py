@@ -1,9 +1,10 @@
 """Golden training trajectory of the five default model kinds.
 
 Each kind is built at seed 0 with widths 784-64-10 (fc-kan with sin, cos,
-arctan and relu by product) and takes 5 AdamW steps (lr 1e-3, weight decay
-1e-4) on fixed random batches of 64. The trajectory is the 5 losses and,
-after the last step, the float64 sum and absolute sum of every parameter.
+arctan and relu by product) and takes 5 steps of fckan.training.train_step
+(AdamW at lr 1e-3, weight decay 1e-4) on fixed random batches of 64. The
+trajectory is the 5 losses and, after the last step, the float64 sum and
+absolute sum of every parameter.
 
     PYTHONPATH=src python tests/golden_trajectory.py --write
         rewrite tests/golden_trajectory.json from the current code
@@ -24,8 +25,7 @@ import tempfile
 import numpy as np
 
 from fckan.models import MODEL_KINDS, ModelConfig, build_model, save_model
-from fckan.tensor import Tape, Tensor, softmax_cross_entropy
-from fckan.training import AdamW
+from fckan.training import AdamW, train_step
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_trajectory.json")
 STEPS, BATCH, LR, WEIGHT_DECAY = 5, 64, 1e-3, 1e-4
@@ -44,20 +44,10 @@ def default_model(kind: str):
     return model, AdamW(model.params, weight_decay=WEIGHT_DECAY)
 
 
-def step(model, opt, xb, yb) -> float:
-    """One AdamW step on the batch (xb, yb); returns its loss."""
-    tape = Tape()
-    loss = softmax_cross_entropy(tape, model.forward(Tensor(xb), tape=tape), yb)
-    opt.zero_grad()
-    tape.backward(loss)
-    opt.step(LR)
-    return loss.item()
-
-
 def train(kind: str):
     """(model, losses) after STEPS AdamW steps of the kind's default model."""
     model, opt = default_model(kind)
-    return model, [step(model, opt, xb, yb) for xb, yb in batches()]
+    return model, [train_step(model, opt, xb, yb, LR)[0] for xb, yb in batches()]
 
 
 def trajectory(kind: str) -> dict:

@@ -15,14 +15,16 @@ from fckan.bench import bench_suite
 from fckan.cli import main
 from fckan.data import load_dataset, take_subset
 from fckan.models import ModelConfig, build_model
-from fckan.tensor import Tape, Tensor, softmax_cross_entropy
+from fckan.tensor import Tensor
 from fckan.training import (
     TrainConfig,
     adamw_step,
+    aggregate_runs,
     classification_metrics,
     lr_schedule,
     run_experiment,
     train_model,
+    train_step,
 )
 from gradcheck import check_model_grads
 
@@ -76,20 +78,26 @@ def fashion_splits():
     return load_dataset("fashion-mnist", require_dataset("fashion-mnist"))
 
 
+def _experiment(model_cfg, train_cfg, splits):
+    """The aggregate block of train_cfg.runs seeds of model_cfg on splits."""
+    return aggregate_runs(run_experiment(model_cfg, train_cfg, splits=splits))
+
+
 class TestC2MnistReproduction:
     def test_fckan_sin_cos_sum(self, mnist_splits):
         cfg = ModelConfig(kind="fc-kan", functions=("sin", "cos"), combine="sum")
-        _, agg = run_experiment(cfg, REFERENCE, splits=mnist_splits)
-        _wall["sin+cos"] = agg.wall_seconds_mean
-        assert agg.val_acc_mean == pytest.approx(97.64, abs=0.4)
-        assert agg.f1_mean == pytest.approx(97.62, abs=0.4)
-        _ok("2a", f"fc-kan sin+cos (sum) mnist val {agg.val_acc_mean:.2f} ± "
-                  f"{agg.val_acc_std:.2f}, F1 {agg.f1_mean:.2f} (target 97.64/97.62 ± 0.4)")
+        agg = _experiment(cfg, REFERENCE, mnist_splits)
+        va, f1 = agg["val_acc"], agg["f1"]
+        _wall["sin+cos"] = agg["wall_seconds_mean"]
+        assert va["mean"] == pytest.approx(97.64, abs=0.4)
+        assert f1["mean"] == pytest.approx(97.62, abs=0.4)
+        _ok("2a", f"fc-kan sin+cos (sum) mnist val {va['mean']:.2f} ± "
+                  f"{va['std']:.2f}, F1 {f1['mean']:.2f} (target 97.64/97.62 ± 0.4)")
 
     def test_mlp(self, mnist_splits):
-        _, agg = run_experiment(ModelConfig(kind="mlp"), REFERENCE, splits=mnist_splits)
-        assert agg.val_acc_mean == pytest.approx(97.69, abs=0.4)
-        _ok("2b", f"mlp mnist val {agg.val_acc_mean:.2f} ± {agg.val_acc_std:.2f} "
+        va = _experiment(ModelConfig(kind="mlp"), REFERENCE, mnist_splits)["val_acc"]
+        assert va["mean"] == pytest.approx(97.69, abs=0.4)
+        _ok("2b", f"mlp mnist val {va['mean']:.2f} ± {va['std']:.2f} "
                   f"(target 97.69 ± 0.4)")
 
 
@@ -97,31 +105,31 @@ class TestC3FashionReproduction:
     def test_fckan_sin_arctan_product_beats_mlp(self, fashion_splits):
         fashion_cfg = TrainConfig(dataset="fashion-mnist")
         cfg = ModelConfig(kind="fc-kan", functions=("sin", "arctan"), combine="product")
-        _, agg = run_experiment(cfg, fashion_cfg, splits=fashion_splits)
-        assert agg.val_acc_mean == pytest.approx(89.38, abs=0.6)
-        _ok("3a", f"fc-kan sin+arctan (product) fashion val {agg.val_acc_mean:.2f} ± "
-                  f"{agg.val_acc_std:.2f} (target 89.38 ± 0.6)")
+        va = _experiment(cfg, fashion_cfg, fashion_splits)["val_acc"]
+        assert va["mean"] == pytest.approx(89.38, abs=0.6)
+        _ok("3a", f"fc-kan sin+arctan (product) fashion val {va['mean']:.2f} ± "
+                  f"{va['std']:.2f} (target 89.38 ± 0.6)")
 
-        _, mlp_agg = run_experiment(ModelConfig(kind="mlp"), fashion_cfg,
-                                    splits=fashion_splits)
-        assert agg.val_acc_mean > mlp_agg.val_acc_mean
-        _ok("3b", f"ordering holds: sin+arctan {agg.val_acc_mean:.2f} > "
-                  f"mlp {mlp_agg.val_acc_mean:.2f}")
+        mlp_va = _experiment(ModelConfig(kind="mlp"), fashion_cfg, fashion_splits)["val_acc"]
+        assert va["mean"] > mlp_va["mean"]
+        _ok("3b", f"ordering holds: sin+arctan {va['mean']:.2f} > "
+                  f"mlp {mlp_va['mean']:.2f}")
 
 
 class TestC4SingleFunctionSanity:
     def test_fckan_cos(self, mnist_splits):
         cfg = ModelConfig(kind="fc-kan", functions=("cos",))
-        runs, agg = run_experiment(cfg, REFERENCE, splits=mnist_splits)
-        assert agg.val_acc_mean >= 97.0
-        _ok("4", f"fc-kan cos mnist val {agg.val_acc_mean:.2f} ± "
-                 f"{agg.val_acc_std:.2f} (floor 97.0)")
+        agg = _experiment(cfg, REFERENCE, mnist_splits)
+        va, wall = agg["val_acc"], agg["wall_seconds_mean"]
+        assert va["mean"] >= 97.0
+        _ok("4", f"fc-kan cos mnist val {va['mean']:.2f} ± "
+                 f"{va['std']:.2f} (floor 97.0)")
         # informational only, never asserted: single-function variants tend
         # to train faster than two-function ones on the same machine
-        note = f"cos mean wall {agg.wall_seconds_mean:.1f}s/run"
+        note = f"cos mean wall {wall:.1f}s/run"
         if "sin+cos" in _wall:
             note += (f" vs sin+cos {_wall['sin+cos']:.1f}s/run -> single-function "
-                     f"{'faster' if agg.wall_seconds_mean < _wall['sin+cos'] else 'NOT faster'}")
+                     f"{'faster' if wall < _wall['sin+cos'] else 'NOT faster'}")
         print(f"INFO: {note}")
 
 
@@ -251,13 +259,7 @@ class TestC7OverfitOracle:
         reached = None
         for epoch in range(200):
             for xb, yb in batch_iter(subset, 16, seed=(0, epoch)):
-                tape = Tape()
-                loss = softmax_cross_entropy(
-                    tape, model.forward(Tensor(xb), tape=tape), yb
-                )
-                opt.zero_grad()
-                tape.backward(loss)
-                opt.step(1e-3)
+                train_step(model, opt, xb, yb, 1e-3)
             logits = model.forward(Tensor(subset.images))
             if int((logits.data.argmax(axis=1) == subset.labels).sum()) == subset.n:
                 reached = epoch

@@ -18,8 +18,7 @@ def fake_record(path, dataset="mnist", kind="mlp", vals=(97.0, 97.5, 98.0), fns=
     model_cfg = ModelConfig(kind=kind, functions=fns)
     train_cfg = TrainConfig(dataset=dataset, runs=len(vals),
                             seeds=tuple(range(len(vals))))
-    write_record(make_record(model_cfg, train_cfg, runs, aggregate_runs(runs),
-                             0.0, 1.0), path)
+    write_record(make_record(model_cfg, train_cfg, runs, 0.0, 1.0), path)
 
 
 class TestParams:
@@ -222,6 +221,15 @@ class TestTrainCommand:
         assert rc == 2
         assert "must be >=" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seeds", ["0,-1", "0,1,-2"])
+    def test_invalid_seed_is_usage_error(self, tmp_path, capsys, seeds):
+        # every seed is checked before looking for data; the empty data dir
+        # would give 1
+        rc = main(["train", "--model", "mlp", "--seeds", seeds, "--runs", "2",
+                   "--data-dir", str(tmp_path)])
+        assert rc == 2
+        assert "seeds must be non-negative ints" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--lr", "nan", "lr0"), ("--lr", "0", "lr0"), ("--gamma", "-1", "gamma"),
         ("--weight-decay", "-5", "weight_decay"),
@@ -277,3 +285,34 @@ class TestTrainCommand:
         a, b = outs
         assert a["aggregate"]["val_acc"] == b["aggregate"]["val_acc"]
         assert a["runs"][0]["final_f1"] == b["runs"][0]["final_f1"]
+
+
+class TestTrainToRecord:
+    """`fckan train` from IDX files to a record, on full-size random data."""
+
+    ARGV = ["train", "--model", "mlp", "--widths", "784,8,10", "--batch", "1000",
+            "--epochs", "1", "--runs", "2", "--seeds", "0,1", "--quiet"]
+
+    def train(self, data_dir, out):
+        assert main(self.ARGV + ["--data-dir", data_dir, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    def test_record_aggregates_its_runs_and_reports(self, random_mnist_dir, tmp_path,
+                                                    capsys):
+        record = self.train(random_mnist_dir, tmp_path / "a.json")
+        assert list(record) == ["model", "train", "runs", "aggregate", "meta"]
+        assert [r["seed"] for r in record["runs"]] == [0, 1]
+        runs = [RunMetrics(**{k: v for k, v in r.items() if k != "final_train_acc"})
+                for r in record["runs"]]
+        assert record["aggregate"] == aggregate_runs(runs)
+        va = record["aggregate"]["val_acc"]
+        assert f"mnist: val acc {va['mean']:.2f} ± {va['std']:.2f}" in capsys.readouterr().out
+
+        assert main(["report", "--inputs", str(tmp_path / "a.json")]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[2].startswith("| mnist | mlp | ")
+        assert f"{va['mean']:.2f} ± {va['std']:.2f}" in table[2]
+
+        again = self.train(random_mnist_dir, tmp_path / "b.json")
+        for key in ("train_acc", "val_acc", "f1"):
+            assert again["aggregate"][key] == record["aggregate"][key]

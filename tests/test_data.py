@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import require_dataset, synthetic_split
+from conftest import image_fixture, label_fixture, require_dataset, synthetic_split
 from fckan.data import (
     DataError,
     IdxFormatError,
@@ -18,15 +18,6 @@ from fckan.data import (
     parse_idx,
     take_subset,
 )
-
-
-def label_fixture(labels):
-    return struct.pack(">II", 0x00000801, len(labels)) + bytes(labels)
-
-
-def image_fixture(images):
-    n, r, c = images.shape
-    return struct.pack(">IIII", 0x00000803, n, r, c) + images.tobytes()
 
 
 class TestParseIdx:

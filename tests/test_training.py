@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_split
-from fckan.data import DataError
+from fckan.data import DataError, batch_iter
 from fckan.models import ModelConfig, build_model
 from fckan.training import (
     AdamW,
@@ -18,6 +18,7 @@ from fckan.training import (
     lr_schedule,
     run_experiment,
     train_model,
+    train_step,
 )
 
 
@@ -140,18 +141,23 @@ class TestAggregate:
     def test_hand_arithmetic(self):
         runs = [_run(seed=i, val=v) for i, v in enumerate([97.0, 97.5, 98.0])]
         agg = aggregate_runs(runs)
-        assert agg.val_acc_mean == pytest.approx(97.5)
-        assert agg.val_acc_std == pytest.approx(0.5)
+        assert agg["val_acc"]["mean"] == pytest.approx(97.5)
+        assert agg["val_acc"]["std"] == pytest.approx(0.5)
 
     def test_single_run_std_zero(self):
         agg = aggregate_runs([_run(seed=0, val=96.0)])
-        assert agg.val_acc_mean == 96.0 and agg.val_acc_std == 0.0
+        assert agg["val_acc"] == {"mean": 96.0, "std": 0.0}
 
     def test_permutation_invariant(self):
         runs = [_run(seed=i, val=v) for i, v in enumerate([97.0, 97.5, 98.0])]
-        a = aggregate_runs(runs)
-        b = aggregate_runs(runs[::-1])
-        assert a.val_acc_mean == b.val_acc_mean and a.val_acc_std == b.val_acc_std
+        assert aggregate_runs(runs)["val_acc"] == aggregate_runs(runs[::-1])["val_acc"]
+
+    def test_record_layout(self):
+        agg = aggregate_runs([_run(seed=0, val=96.0), _run(seed=1, val=98.0)])
+        assert list(agg) == ["runs", "train_acc", "val_acc", "f1", "wall_seconds_mean"]
+        assert agg["runs"] == 2 and agg["wall_seconds_mean"] == 10.0
+        assert agg["train_acc"] == {"mean": 90.0, "std": 0.0}
+        assert list(agg["f1"]) == ["mean", "std"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -166,6 +172,12 @@ class TestTrainConfig:
     def test_needs_enough_seeds(self):
         with pytest.raises(ValueError):
             TrainConfig(runs=4, seeds=(0, 1, 2))
+
+    @pytest.mark.parametrize("seeds", [(0, -1), (0, True), (0, 1.0), (0, "1"), (0, 1, -2)])
+    def test_rejects_a_seed_model_config_rejects(self, seeds):
+        # every seed is checked, also one past the runs that would train
+        with pytest.raises(ValueError, match="seeds"):
+            TrainConfig(runs=2, seeds=seeds)
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("runs", 0), ("epochs", -1),
@@ -229,18 +241,11 @@ class TestTrainModel:
         assert len(rm.train_loss) == tc.epochs
 
         # weights finite after init and after every optimizer step
-        from fckan.data import batch_iter
-        from fckan.tensor import Tape, Tensor, softmax_cross_entropy
-
         model = build_model(cfg)
         opt = AdamW(model.params, weight_decay=tc.weight_decay)
         assert all(np.isfinite(p.tensor.data).all() for p in model.params)
         for xb, yb in batch_iter(split, 32, seed=9):
-            tape = Tape()
-            loss = softmax_cross_entropy(tape, model.forward(Tensor(xb), tape=tape), yb)
-            opt.zero_grad()
-            tape.backward(loss)
-            opt.step(1e-3)
+            train_step(model, opt, xb, yb, 1e-3)
             assert all(np.isfinite(p.tensor.data).all() for p in model.params)
 
     def test_overfits_small_synthetic_set(self):
@@ -257,11 +262,56 @@ class TestTrainModel:
         split = synthetic_split(n=64, d=16, classes=4)
         cfg = ModelConfig(kind="mlp", widths=(16, 8, 4), seed=0)
         tc = TrainConfig(epochs=2, batch_size=16, lr0=1e20, runs=1, seeds=(0,))
-        # blows up either at the loss (named epoch/batch) or in a gradient
-        # (named parameter), whichever the sweep hits first
+        # blows up either at the loss or in a gradient, whichever the sweep
+        # hits first; both name the step
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged, match="epoch|parameter"):
+            with pytest.raises(TrainingDiverged, match=r"epoch \d+, batch \d+"):
                 train_model(cfg, tc, splits=(split, split))
+
+    def test_non_finite_gradient_names_epoch_and_batch(self, monkeypatch):
+        split = synthetic_split(n=64, d=16, classes=4)  # 4 batches of 16 per epoch
+        cfg = ModelConfig(kind="mlp", widths=(16, 8, 4), seed=0)
+        tc = TrainConfig(epochs=2, batch_size=16, runs=1, seeds=(0,))
+        step, calls = AdamW.step, []
+
+        def poison_sixth(opt, lr):  # the loss stays finite; epoch 1, batch 1
+            calls.append(lr)
+            if len(calls) == 6:
+                opt.params[0].tensor.grad[...] = np.nan
+            step(opt, lr)
+
+        monkeypatch.setattr(AdamW, "step", poison_sixth)
+        with pytest.raises(TrainingDiverged,
+                           match=r"non-finite gradient in parameter .+ at epoch 1, batch 1$"):
+            train_model(cfg, tc, splits=(split, split))
+
+    def test_non_finite_loss_changes_nothing(self):
+        split = synthetic_split(n=32, d=16, classes=4)
+        model = build_model(ModelConfig(kind="mlp", widths=(16, 8, 4), seed=0))
+        opt = AdamW(model.params, weight_decay=1e-4)
+        train_step(model, opt, split.images, split.labels, 1e-3)
+        before = [(p.tensor.data.copy(), p.tensor.grad.copy()) for p in model.params]
+        xb = split.images.copy()
+        xb[3, 5] = np.nan
+        with pytest.raises(TrainingDiverged, match="non-finite loss"):
+            train_step(model, opt, xb, split.labels, 1e-3)
+        assert opt.t == 1
+        for p, (data, grad) in zip(model.params, before):
+            assert np.array_equal(p.tensor.data, data)
+            assert np.array_equal(p.tensor.grad, grad)
+
+    def test_train_step_is_train_models_step(self):
+        # one epoch of one full batch: train_model's loss is train_step's
+        split = synthetic_split(n=32, d=16, classes=4)
+        cfg = ModelConfig(kind="mlp", widths=(16, 8, 4), seed=0)
+        tc = TrainConfig(epochs=1, batch_size=32, runs=1, seeds=(0,))
+        rm = train_model(cfg, tc, splits=(split, split))
+        model = build_model(cfg)
+        opt = AdamW(model.params, weight_decay=tc.weight_decay)
+        xb, yb = next(batch_iter(split, 32, seed=(0, 0)))
+        loss, logits = train_step(model, opt, xb, yb, tc.lr0)
+        assert rm.train_loss == [loss]
+        assert rm.train_acc == [100.0 * (logits.data.argmax(axis=1) == yb).mean()]
 
     @pytest.mark.parametrize("empty", ["train", "val"])
     def test_empty_split_is_a_data_error(self, empty):
@@ -277,10 +327,11 @@ class TestTrainModel:
         split = synthetic_split(n=64, d=16, classes=4)
         cfg = ModelConfig(kind="mlp", widths=(16, 8, 4))
         tc = TrainConfig(epochs=1, batch_size=16, runs=2, seeds=(0, 1))
-        runs, agg = run_experiment(cfg, tc, splits=(split, split))
+        runs = run_experiment(cfg, tc, splits=(split, split))
         assert [r.seed for r in runs] == [0, 1]
-        assert agg.runs == 2
-        assert agg.val_acc_std >= 0.0
+        agg = aggregate_runs(runs)
+        assert agg["runs"] == 2
+        assert agg["val_acc"]["std"] >= 0.0
 
 
 def _run(seed, val):
