@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spline-order", type=int)
 
     t = sub.add_parser("train", help="train a model and write an experiment record")
-    t.set_defaults(run=cmd_train)
+    t.set_defaults(run=cmd_train, parser=t)
     add_model_flags(t)
     t.add_argument("--dataset", choices=DATASET_NAMES, default=TrainConfig.dataset)
     t.add_argument("--epochs", type=int, default=TrainConfig.epochs,
@@ -223,24 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--quiet", action="store_true")
 
     b = sub.add_parser("bench", help="basis-function throughput microbenchmark")
-    b.set_defaults(run=cmd_bench)
+    b.set_defaults(run=cmd_bench, parser=b)
     b.add_argument("--n", type=int, default=1_000_000)
     b.add_argument("--repeats", type=int, default=10)
     b.add_argument("--out", default=None, help="CSV path")
 
     p = sub.add_parser("params", help="audit parameter counts")
-    p.set_defaults(run=cmd_params)
+    p.set_defaults(run=cmd_params, parser=p)
     add_model_flags(p)
     p.add_argument("--expect", type=int, default=None)
     p.add_argument("--tolerance", type=_percent, default=0.05, help="percent, default 0.05")
 
     r = sub.add_parser("report", help="render a Markdown table from records")
-    r.set_defaults(run=cmd_report)
+    r.set_defaults(run=cmd_report, parser=r)
     r.add_argument("--inputs", nargs="+", required=True, help="glob(s) of record JSONs")
     r.add_argument("--out", default=None)
 
     f = sub.add_parser("fetch-data", help="download the IDX files")
-    f.set_defaults(run=cmd_fetch_data)
+    f.set_defaults(run=cmd_fetch_data, parser=f)
     f.add_argument("--dataset", choices=DATASET_NAMES + ("all",), default="all")
     f.add_argument("--data-dir", default=data_dir)
     f.add_argument("--print-urls", action="store_true",
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, parser)
+        return args.run(args, args.parser)
     except SystemExit as e:  # argparse --help or usage errors
         return int(e.code or 0)
     except (OSError, ValueError, ReportError, TrainingDiverged) as e:

@@ -7,6 +7,8 @@ expression; the B-spline runs Cox-de Boor on the k + 1 basis functions that
 are nonzero at each input rather than on the whole basis.
 """
 
+import functools
+
 import numpy as np
 
 _ZERO = np.float32(0.0)
@@ -66,29 +68,48 @@ def unary_derivs(name, x):
     return _unary(name, 1)(x)
 
 
-def _local_bases(x, knots, order):
+@functools.lru_cache(maxsize=64)
+def _knot_tables(knot_bytes, order):
+    """The constants of the B-spline kernel for one float64 knot vector and
+    order, built once: the knot vector extended by ``order`` steps past each
+    end, so that every knot the recursion reads exists (the extension only
+    reaches basis indices outside [0, nbasis)), and, for c = 0..order, the
+    output column that the c-th local basis of each knot cell lands in with
+    a mask that is False where that column falls off either end."""
+    knots = np.frombuffer(knot_bytes)
+    ext = np.concatenate([
+        knots[0] - (knots[1] - knots[0]) * np.arange(order, 0, -1),
+        knots,
+        knots[-1] + (knots[-1] - knots[-2]) * np.arange(1, order + 1),
+    ])
+    nbasis = knots.shape[0] - order - 1
+    cells = np.arange(nbasis + order)
+    targets, keeps = [], []
+    for c in range(order + 1):
+        target = cells - order + c
+        keep = (target >= 0) & (target < nbasis)
+        targets.append(np.where(keep, target, 0))
+        keeps.append(keep)
+    return ext, targets, keeps
+
+
+def _local_bases(x, knots, order, ext):
     """Knot cell of each x and the order-``order`` B-splines nonzero on it.
 
     Cell j is the half-open interval t_j <= x < t_{j+1}. Returns j and the
     list b with b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell
     (outside the knot span, NaN, +-inf) is given cell 0 and all-zero values.
-    The knot vector is extended by ``order`` steps past each end so that
-    every knot the recursion reads exists; the extension only reaches basis
-    indices outside [0, nbasis).
+    ``ext`` is the extended knot vector of _knot_tables.
     """
     last = knots.shape[0] - 2
     j = np.searchsorted(knots, x, side="right") - 1
     inside = (j >= 0) & (j <= last)
     j[~inside] = 0
     x = np.where(inside, x, knots[0])
-    ext = np.concatenate([
-        knots[0] - (knots[1] - knots[0]) * np.arange(order, 0, -1),
-        knots,
-        knots[-1] + (knots[-1] - knots[-2]) * np.arange(1, order + 1),
-    ])
-    t = {m: ext[j + order + m] for m in range(1 - order, order + 1)}
-    below = {m: x - t[m] for m in range(1 - order, 1)}
-    above = {m: t[m] - x for m in range(1, order + 1)}
+    # row i of t is t_{j+i+1-order}, for the knots t_{j+1-order}..t_{j+order}
+    t = ext[np.arange(1, 2 * order + 1)[:, None] + j]
+    below = x - t[:order]  # row i: x - t_{j+i+1-order}
+    above = t[order:] - x  # row i: t_{j+i+1} - x
     b = [inside.astype(np.float64)]
     for r in range(1, order + 1):
         # N_i^r = (x - t_i) / (t_{i+r} - t_i) N_i^{r-1}
@@ -96,14 +117,14 @@ def _local_bases(x, knots, order):
         # where b[c] = N_i^{r-1} for i = j - r + 1 + c feeds N_{i-1}^r and N_i^r
         raised, carry = [], 0.0
         for c in range(r):
-            d = t[c + 1] - t[c + 1 - r]
-            raised.append(carry + above[c + 1] / d * b[c])
-            carry = below[c + 1 - r] / d * b[c]
+            d = t[c + order] - t[c + order - r]
+            raised.append(carry + above[c] / d * b[c])
+            carry = below[c + order - r] / d * b[c]
         b = raised + [carry]
     return j, b
 
 
-def _scatter(cols, j, nbasis, order):
+def _scatter(cols, j, nbasis, targets, keeps):
     """Dense float64 [n, nbasis] rows holding cols[c] at column j - order + c.
 
     Entries whose column falls off either end are written to column 0 as
@@ -115,11 +136,8 @@ def _scatter(cols, j, nbasis, order):
     out = np.zeros((n, nbasis))
     flat = out.reshape(-1)
     rows = np.arange(n) * nbasis
-    cells = np.arange(nbasis + order)
-    for c, col in enumerate(cols):
-        target = cells - order + c
-        keep = (target >= 0) & (target < nbasis)
-        flat[rows + np.where(keep, target, 0)[j]] = col * keep[j]
+    for col, target, keep in zip(cols, targets, keeps):
+        flat[rows + target[j]] = col * keep[j]
     return out
 
 
@@ -127,8 +145,9 @@ def _bspline(x, knots, order):
     # the body of bspline_values, which bspline_derivs calls too: a tracer
     # that replaces the public kernels then never times one inside the other
     nbasis = knots.shape[0] - order - 1
-    j, b = _local_bases(x, knots, order)
-    out = _scatter(b, j, nbasis, order)
+    ext, targets, keeps = _knot_tables(knots.tobytes(), order)
+    j, b = _local_bases(x, knots, order, ext)
+    out = _scatter(b, j, nbasis, targets, keeps)
     if order >= 1:
         out[~np.isfinite(x)] = np.nan
     return out

@@ -11,14 +11,15 @@ The tape is single-use: a second backward without ``reset()`` raises. Each
 tape is single-threaded; independent tapes may run on separate threads.
 """
 
-import itertools
-
 import numpy as np
 
 from . import kernels
 from .basis import UNARY_OP_KINDS
 
-_ids = itertools.count()
+# Inputs per grid call in basis_expand: the paper's batch-64 layer 0 (50,176
+# inputs) is one block, and a batch of 1000 keeps its float64 temporaries to
+# a few MiB each instead of some 50 MiB.
+BLOCK = 1 << 16
 
 
 class ShapeError(ValueError):
@@ -269,18 +270,28 @@ def basis_expand(tape, x: Tensor, grid) -> Tensor:
     RBFGrid, giving [m x d*nb].
 
     Column block i*nb..(i+1)*nb-1 holds the nb basis values of input
-    feature i, matching the row layout of the spline weight matrices.
+    feature i, matching the row layout of the spline weight matrices. The
+    grid is evaluated in float64 over blocks of at most BLOCK inputs, each
+    written straight into the float32 output; every row depends only on its
+    own input, so the blocks give the same bits as one call would.
     """
     m, d = x.shape
     nb = grid.num_basis
-    flat = x.data.ravel().astype(np.float64)
-    out = Tensor(grid.values(flat).reshape(m, d * nb).astype(np.float32))
+    flat = x.data.reshape(-1)
+    values = np.empty((m * d, nb), dtype=np.float32)
+    for s in range(0, m * d, BLOCK):
+        values[s:s + BLOCK] = grid.values(flat[s:s + BLOCK].astype(np.float64))
+    out = Tensor(values.reshape(m, d * nb))
 
     def bwd(dout):
         if not x.requires_grad:
             return (None,)
-        dx = (dout.reshape(m * d, nb) * grid.derivs(flat)).sum(axis=1)
-        return (dx.reshape(m, d).astype(np.float32),)
+        dvalues = dout.reshape(m * d, nb)
+        dx = np.empty(m * d, dtype=np.float32)
+        for s in range(0, m * d, BLOCK):
+            derivs = grid.derivs(flat[s:s + BLOCK].astype(np.float64))
+            dx[s:s + BLOCK] = (dvalues[s:s + BLOCK] * derivs).sum(axis=1)
+        return (dx.reshape(m, d),)
 
     return _emit(tape, out, (x,), bwd)
 

@@ -6,13 +6,16 @@ fc-kan with sin, cos, arctan and relu by product. One repeat times, per kind,
 (forward, loss, backward and AdamW update at lr 1e-3, weight decay 1e-4), on
 fixed random batches of 64, and one inference forward of a random batch of
 1000. Repeats go round the kinds in turn, so host noise spreads over all of
-them, after one untimed warm-up round.
+them, after one untimed warm-up round. After the timed repeats, one more
+batch-1000 forward per kind runs under tracemalloc, untimed, for the peak of
+the NumPy buffers it allocates.
 
     PYTHONPATH=src python tests/bench_train_step.py [--out BENCH_train_step.json]
 
 Per kind, the median and quartiles over the repeats of the milliseconds per
-step and per forward are appended as one entry, with bench.machine_meta()
-and the git commit of the measured fckan source, to the JSON list in --out.
+step and per forward, and the forward's traced peak MiB, are appended as one
+entry, with bench.machine_meta() and the git commit of the measured fckan
+source, to the JSON list in --out.
 The file is a trajectory: a run appends and never rewrites.
 """
 
@@ -22,6 +25,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -74,6 +78,15 @@ class Kind:
         self.model.forward(self.X)
         return (time.perf_counter() - t0) * 1e3
 
+    def forward_peak_mib(self) -> float:
+        # tracemalloc slows every allocation, so no timed call runs under it
+        tracemalloc.start()
+        try:
+            self.model.forward(self.X)
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
 
 def summary(times) -> dict:
     q1, median, q3 = np.percentile(times, [25, 50, 75])
@@ -91,7 +104,8 @@ def measure(steps: int, repeats: int) -> dict:
         for name, k in kinds.items():
             times[name][0].append(k.step_ms())
             times[name][1].append(k.forward_ms())
-    return {name: {"step_ms": summary(s), "forward_ms": summary(f)}
+    return {name: {"step_ms": summary(s), "forward_ms": summary(f),
+                   "forward_peak_mib": round(kinds[name].forward_peak_mib(), 2)}
             for name, (s, f) in times.items()}
 
 
@@ -128,7 +142,8 @@ def main(argv=None) -> int:
     for name, k in kinds.items():
         s, fw = k["step_ms"], k["forward_ms"]
         print(f"{name:<14} step {s['median']:8.2f} ms [{s['q1']:.2f}, {s['q3']:.2f}]   "
-              f"forward {fw['median']:8.2f} ms [{fw['q1']:.2f}, {fw['q3']:.2f}]")
+              f"forward {fw['median']:8.2f} ms [{fw['q1']:.2f}, {fw['q3']:.2f}]   "
+              f"peak {k['forward_peak_mib']:7.2f} MiB")
     print(f"appended entry {len(entries)} to {args.out}")
     return 0
 

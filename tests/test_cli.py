@@ -230,6 +230,17 @@ class TestTrainCommand:
         assert rc == 2
         assert "seeds must be non-negative ints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "mlp", "--seeds", "0,-1", "--runs", "2"],
+        ["params", "--model", "mlp", "--grid-size", "3"],
+        ["bench", "--n", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_usage_error_shows_the_subcommand_usage(self, tmp_path, capsys, argv):
+        # raised by the handler after parsing, through its own subparser
+        data_dir = ["--data-dir", str(tmp_path)] if argv[0] == "train" else []
+        assert main(argv + data_dir) == 2
+        assert capsys.readouterr().err.startswith(f"usage: fckan {argv[0]} ")
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--lr", "nan", "lr0"), ("--lr", "0", "lr0"), ("--gamma", "-1", "gamma"),
         ("--weight-decay", "-5", "weight_decay"),

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -317,6 +318,20 @@ class TestSplineForward:
         for layer in model.layers:
             h = matmul(None, silu(None, h), layer["base_weight"])
         assert np.allclose(base_only, h.data, atol=1e-6)
+
+    def test_batch_1000_inference_peak_memory(self):
+        # tracemalloc sees NumPy's buffers. basis_expand's float32 output is
+        # 24 MiB here; one float64 grid call over all 784,000 layer-0 inputs
+        # would peak near 146 MiB, blocks of tensor.BLOCK inputs stay near 38
+        model = build_model(ModelConfig(kind="efficient-kan", seed=0))
+        X = Tensor(np.random.default_rng(0).random((1000, 784), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            model.forward(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestEndToEndGradients:

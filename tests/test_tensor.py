@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fckan import tensor
+from fckan.basis import BSplineGrid, RBFGrid
 from fckan.tensor import (
     LabelError,
     ShapeError,
@@ -9,6 +11,7 @@ from fckan.tensor import (
     Tensor,
     UnsupportedKindError,
     apply_unary,
+    basis_expand,
     elementwise,
     layer_norm,
     matmul,
@@ -212,6 +215,59 @@ class TestSilu:
         x = Tensor(rng.uniform(-2, 2, (2, 5)), requires_grad=True)
         r = rng.uniform(0.5, 1.5, (2, 5)).astype(np.float32)
         check_grads(lambda t: weighted_sum(t, silu(t, x), r), [x])
+
+
+class TestBasisExpand:
+    """basis_expand evaluates its grid over blocks of at most BLOCK inputs and
+    must give the bits of one grid call over all of them."""
+
+    B = 7
+    # [m x d] shapes of m*d = 0, 1, B - 1, B, B + 1 and 3B + 2 inputs
+    SHAPES = [(0, 3), (1, 1), (2, 3), (7, 1), (2, 4), (2, 11)]
+    GRIDS = [BSplineGrid(), BSplineGrid(3, 1, -0.5, 2.0), RBFGrid()]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor, "BLOCK", self.B)
+
+    @staticmethod
+    def inputs(shape, grid):
+        # NaN, +-inf, the grid's ends and points outside the knot span, then
+        # random points in and around it, in a random order
+        m, d = shape
+        rng = np.random.default_rng(m * 100 + d)
+        span = grid.hi - grid.lo
+        special = [np.nan, np.inf, -np.inf, grid.lo, grid.hi,
+                   grid.lo - 2 * span, grid.hi + 2 * span]
+        pool = np.concatenate([special, rng.uniform(grid.lo - span, grid.hi + span, m * d)])
+        return rng.permutation(pool[:m * d]).astype(np.float32).reshape(m, d)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    # rbf_derivs at +-inf is inf * 0
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_values_and_dx_equal_one_call_bit_for_bit(self, grid, shape):
+        m, d = shape
+        nb = grid.num_basis
+        x = Tensor(self.inputs(shape, grid), requires_grad=True)
+        flat = x.data.ravel().astype(np.float64)
+        tape = Tape()
+        out = basis_expand(tape, x, grid)
+        want = grid.values(flat).astype(np.float32).reshape(m, d * nb)
+        assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
+
+        r = np.random.default_rng(3).uniform(0.5, 1.5, (m, d * nb)).astype(np.float32)
+        tape.backward(weighted_sum(tape, out, r))
+        dx = (r.reshape(m * d, nb) * grid.derivs(flat)).sum(axis=1)
+        want_grad = np.zeros((m, d), dtype=np.float32)
+        want_grad += dx.astype(np.float32).reshape(m, d)  # as Tensor._accumulate adds it
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    def test_no_dx_for_an_input_without_grad(self, grid):
+        tape = Tape()
+        out = basis_expand(tape, Tensor(self.inputs((2, 11), grid)), grid)
+        assert tape._nodes[out.node_id].backward_fn(np.ones_like(out.data)) == (None,)
 
 
 class TestBackward:
