@@ -1,13 +1,14 @@
 """Univariate basis functions and the registry of basis kinds.
 
-Two families: elementwise transcendentals (relu, sin, cos, arctan, tan, tanh,
+Two families: elementwise transcendentals (relu, sin, cos, arctan, tan,
 DoG), named by plain strings, and grid-expanding bases that map one input to
 a vector of values: ``BSplineGrid`` (Cox-de Boor over a uniform extended knot
 vector) and ``RBFGrid`` (Gaussian RBFs on uniformly spaced centers). A grid
 object is both the configuration a model holds, checks and saves and the
-evaluator its layers call. ``KINDS`` is the one table of basis kinds and says
-where each may be used; the kind lists of the rest of the package are views
-of it. The math lives in fckan.kernels.
+evaluator its layers call. ``KINDS`` is the one table of basis kinds: every
+kind has a ``fckan bench`` row, and the paper's four fc-kan functions are the
+only ones trainable through ``tensor.apply_unary``. ``FCKAN_FUNCTIONS`` is
+the one view of it. The math lives in fckan.kernels.
 """
 
 import math
@@ -95,29 +96,25 @@ class RBFGrid:
 class KindUse:
     """Where one basis kind may be used."""
 
-    fckan: bool = False  # a function of the fc-kan model (the paper's four)
-    unary_op: bool = False  # trainable through tensor.apply_unary
-    bench: tuple | None = None  # input range of its `fckan bench` row
+    bench: tuple  # input range of its `fckan bench` row
+    fckan: bool = False  # an fc-kan function (the paper's four), trainable by apply_unary
     grid: type | None = None  # its grid family; None for an elementwise kind
 
 
 _UNIT = (-1.0, 1.0)
 
 KINDS = {
-    "bspline": KindUse(bench=_UNIT, grid=BSplineGrid),
-    "rbf": KindUse(bench=_UNIT, grid=RBFGrid),
-    "dog": KindUse(bench=_UNIT),
-    "relu": KindUse(fckan=True, unary_op=True, bench=_UNIT),
-    "sin": KindUse(fckan=True, unary_op=True, bench=_UNIT),
-    "cos": KindUse(fckan=True, unary_op=True, bench=_UNIT),
-    "tan": KindUse(bench=(-1.5, 1.5)),  # clear of the poles at +-pi/2
-    "arctan": KindUse(fckan=True, unary_op=True, bench=_UNIT),
-    "tanh": KindUse(unary_op=True),
+    "bspline": KindUse(_UNIT, grid=BSplineGrid),
+    "rbf": KindUse(_UNIT, grid=RBFGrid),
+    "dog": KindUse(_UNIT),
+    "relu": KindUse(_UNIT, fckan=True),
+    "sin": KindUse(_UNIT, fckan=True),
+    "cos": KindUse(_UNIT, fckan=True),
+    "tan": KindUse((-1.5, 1.5)),  # clear of the poles at +-pi/2
+    "arctan": KindUse(_UNIT, fckan=True),
 }
 
 FCKAN_FUNCTIONS = tuple(n for n, u in KINDS.items() if u.fckan)
-UNARY_OP_KINDS = tuple(n for n, u in KINDS.items() if u.unary_op)
-BENCH_KINDS = tuple(n for n, u in KINDS.items() if u.bench)
 
 
 def grid_record(grid) -> dict:
@@ -129,7 +126,7 @@ def grid_record(grid) -> dict:
 def grid_from_record(record: dict):
     """The grid a record written by grid_record describes."""
     fields = dict(record)
-    family = KINDS.get(fields.pop("name", None), KindUse()).grid
+    family = getattr(KINDS.get(fields.pop("name", None)), "grid", None)
     if family is None:
         raise BasisConfigError(f"not a grid record: {record!r}")
     if family is RBFGrid and fields.pop("spline_order", 0) != 0:

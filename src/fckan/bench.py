@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import BENCH_KINDS, KINDS
+from .basis import KINDS
 
 CSV_FIELDS = ("function", "mean_us", "std_us", "repeats", "n", "checksum")
 
@@ -52,8 +52,8 @@ def bench_function(name: str, n: int = 1_000_000, repeats: int = 10) -> BenchRes
         raise ValueError(f"n must be >= 1, got {n}")
     if repeats < 3:
         raise ValueError(f"repeats must be >= 3, got {repeats}")
-    if name not in BENCH_KINDS:
-        raise ValueError(f"benchmark covers {BENCH_KINDS}, got {name!r}")
+    if name not in KINDS:
+        raise ValueError(f"benchmark covers {tuple(KINDS)}, got {name!r}")
     one_pass = _make_pass(name, n)
     out = one_pass()  # warm-up, untimed
     times = np.empty(repeats, dtype=np.float64)
@@ -73,7 +73,7 @@ def bench_function(name: str, n: int = 1_000_000, repeats: int = 10) -> BenchRes
 
 def bench_suite(n: int = 1_000_000, repeats: int = 10):
     """All eight functions under identical conditions, slowest first."""
-    results = [bench_function(k, n=n, repeats=repeats) for k in BENCH_KINDS]
+    results = [bench_function(k, n=n, repeats=repeats) for k in KINDS]
     results.sort(key=lambda r: r.mean_us, reverse=True)
     return results
 

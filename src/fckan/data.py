@@ -157,24 +157,16 @@ def load_dataset(name: str, directory: str):
     return splits[0], splits[1]
 
 
-def take_subset(split: DatasetSplit, n: int, seed: int = 0) -> DatasetSplit:
-    """A fixed random subset, handy for overfitting checks."""
-    idx = np.random.default_rng(seed).permutation(split.n)[:n]
-    return DatasetSplit(split.images[idx], split.labels[idx], f"{split.name}[{n}]")
-
-
-def batch_iter(split: DatasetSplit, batch_size: int, seed: int = 0, shuffle: bool = True):
-    """Yield (images, labels) batches covering every sample exactly once.
+def batch_iter(split: DatasetSplit, batch_size: int, seed: int = 0):
+    """Yield (images, labels) batches covering every sample exactly once, in
+    a shuffled order.
 
     The permutation is a pure function of the seed; the final partial batch
     is included.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(split.n)
-    else:
-        order = np.arange(split.n)
+    order = np.random.default_rng(seed).permutation(split.n)
     for start in range(0, split.n, batch_size):
         idx = order[start : start + batch_size]
         yield split.images[idx], split.labels[idx]

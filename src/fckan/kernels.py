@@ -19,28 +19,21 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _tanh_deriv(x):
-    t = np.tanh(x)
-    return _ONE - t * t
-
-
 def _silu_deriv(x):
     s = _sigmoid(x)
     return s * (1.0 + x * (1.0 - s))
 
 
 # name -> (value, derivative): the basis kinds of fckan.basis.KINDS that are
-# elementwise, plus silu. relu'(0) = 0 by convention; tan is only benchmarked
-# and has no derivative.
+# elementwise, plus silu. relu'(0) = 0 by convention; tan and dog are only
+# benchmarked and have no derivative.
 _UNARY = {
     "relu": (lambda x: np.maximum(x, _ZERO), lambda x: (x > 0).astype(x.dtype)),
     "sin": (np.sin, np.cos),
     "cos": (np.cos, lambda x: -np.sin(x)),
     "arctan": (np.arctan, lambda x: _ONE / (_ONE + x * x)),
     "tan": (np.tan, None),
-    "tanh": (np.tanh, _tanh_deriv),
-    "dog": (lambda x: -x * np.exp(-0.5 * x * x),
-            lambda x: (x * x - 1.0) * np.exp(-0.5 * x * x)),
+    "dog": (lambda x: -x * np.exp(-0.5 * x * x), None),
     "silu": (lambda x: x * _sigmoid(x), _silu_deriv),
 }
 
@@ -185,7 +178,11 @@ def rbf_values(x, centers, h):
 
 
 def rbf_derivs(x, centers, h):
-    """d/dx of each Gaussian RBF component at x."""
+    """d/dx of each Gaussian RBF component at x. Rows of +-inf x are 0, the
+    limit, where the formula gives inf * 0; rows of NaN x are NaN."""
     d = x[:, None] - centers[None, :]
     z = d / h
-    return -2.0 * d / (h * h) * np.exp(-z * z)
+    with np.errstate(invalid="ignore"):
+        out = -2.0 * d / (h * h) * np.exp(-z * z)
+    out[np.isinf(x)] = 0.0
+    return out

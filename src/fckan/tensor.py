@@ -7,14 +7,15 @@ order and accumulates gradients additively into every reachable tensor that
 requires them. Passing ``tape=None`` to any op runs it in inference mode
 (no recording, no gradients).
 
-The tape is single-use: a second backward without ``reset()`` raises. Each
-tape is single-threaded; independent tapes may run on separate threads.
+A tape is single-use: a second backward on it raises, and each training step
+records onto a new one. Each tape is single-threaded; independent tapes may
+run on separate threads.
 """
 
 import numpy as np
 
 from . import kernels
-from .basis import UNARY_OP_KINDS
+from .basis import FCKAN_FUNCTIONS
 
 # Inputs per grid call in basis_expand: the paper's batch-64 layer 0 (50,176
 # inputs) is one block, and a batch of 1000 keeps its float64 temporaries to
@@ -105,7 +106,7 @@ class Tape:
     def backward(self, loss: Tensor):
         """Reverse sweep from a scalar loss; grads accumulate additively."""
         if self._spent:
-            raise TapeError("tape already swept; call reset() first")
+            raise TapeError("tape already swept; record onto a new tape")
         if loss.data.shape != (1, 1):
             raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
         if (loss.node_id is None or loss.node_id >= len(self._nodes)
@@ -120,11 +121,6 @@ class Tape:
             for t, g in zip(node.inputs, node.backward_fn(dout)):
                 if g is not None and t.requires_grad:
                     t._accumulate(g)
-
-    def reset(self):
-        """Clear recorded nodes so the tape can be reused."""
-        self._nodes.clear()
-        self._spent = False
 
 
 def _emit(tape, out, inputs, backward_fn):
@@ -148,10 +144,11 @@ def matmul(tape, a: Tensor, b: Tensor) -> Tensor:
 
 
 def apply_unary(tape, name: str, x: Tensor) -> Tensor:
-    """Elementwise basis function; backward uses the analytic derivative."""
-    if name not in UNARY_OP_KINDS:
+    """One of the fc-kan functions, elementwise; backward uses the analytic
+    derivative."""
+    if name not in FCKAN_FUNCTIONS:
         raise UnsupportedKindError(
-            f"apply_unary supports {UNARY_OP_KINDS}, got {name!r}"
+            f"apply_unary supports {FCKAN_FUNCTIONS}, got {name!r}"
         )
     return _unary(tape, name, x)
 
@@ -253,16 +250,6 @@ def softmax_cross_entropy(tape, logits: Tensor, labels) -> Tensor:
         return (g * (dout[0, 0] / np.float32(m)),)
 
     return _emit(tape, out, (logits,), bwd)
-
-
-def sum_all(tape, x: Tensor) -> Tensor:
-    """Sum of all elements as a 1x1 tensor."""
-    out = Tensor(np.asarray([[x.data.sum(dtype=np.float64)]]))
-
-    def bwd(dout):
-        return (np.full_like(x.data, dout[0, 0]),)
-
-    return _emit(tape, out, (x,), bwd)
 
 
 def basis_expand(tape, x: Tensor, grid) -> Tensor:

@@ -215,9 +215,7 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
         lr = lr_schedule(epoch, train_cfg.lr0, train_cfg.gamma)
         loss_sum = 0.0
         correct = 0
-        for b, (xb, yb) in enumerate(
-            batch_iter(train, train_cfg.batch_size, seed=(seed, epoch), shuffle=True)
-        ):
+        for b, (xb, yb) in enumerate(batch_iter(train, train_cfg.batch_size, seed=(seed, epoch))):
             try:
                 lv, logits = train_step(model, opt, xb, yb, lr)
             except TrainingDiverged as e:

@@ -39,6 +39,35 @@ def synthetic_split(n=120, d=16, classes=3, seed=0, name="synthetic"):
     return DatasetSplit(images.astype(np.float32), labels.astype(np.int64), name)
 
 
+def block_digits(n=64, seed=0, classes=10):
+    """n seeded 784-pixel samples shaped like MNIST digits.
+
+    Each class has a prototype of lit 3x3-pixel blocks, about 30% of a 7x7
+    block grid in the central 21x21 square. A sample is its class prototype
+    shifted by up to two pixels each way, scaled by a contrast in [0.6, 1]
+    and given Gaussian noise (sd 0.25) on its lit pixels only, then
+    quantised to multiples of 1/255 as load_images gives pixels.
+    """
+    rng = np.random.default_rng(seed)
+    lit = rng.random((classes, 7, 7)) < 0.3
+    protos = np.zeros((classes, 28, 28))
+    protos[:, 3:24, 3:24] = np.kron(lit, np.ones((3, 3)))
+    labels = rng.permutation(np.arange(n) % classes)
+    images = np.empty((n, 28, 28))
+    for i, c in enumerate(labels):
+        x = np.roll(protos[c], tuple(rng.integers(-2, 3, size=2)), axis=(0, 1))
+        noisy = x * rng.uniform(0.6, 1.0) + rng.normal(0.0, 0.25, x.shape)
+        images[i] = np.where(x > 0, np.clip(noisy, 0.0, 1.0), 0.0)
+    images = np.rint(images.reshape(n, 784) * 255.0) / 255.0
+    return DatasetSplit(images.astype(np.float32), labels.astype(np.int64), f"blocks[{n}]")
+
+
+def take_subset(split, n, seed=0):
+    """A fixed random subset of n rows of a split."""
+    idx = np.random.default_rng(seed).permutation(split.n)[:n]
+    return DatasetSplit(split.images[idx], split.labels[idx], f"{split.name}[{n}]")
+
+
 def label_fixture(labels):
     return struct.pack(">II", 0x00000801, len(labels)) + bytes(labels)
 

@@ -14,7 +14,7 @@ Three comparison styles:
 
 import numpy as np
 
-from fckan.tensor import Tape, Tensor, elementwise, softmax_cross_entropy, sum_all
+from fckan.tensor import Tape, Tensor, elementwise, softmax_cross_entropy
 
 
 def fd_grad(loss_fn, tensor, eps=1e-3):
@@ -69,6 +69,18 @@ def check_grads(loss_builder, tensors, eps=1e-3, tol=1e-2, metric="element"):
         worst = max(worst, rel(g.astype(np.float64), fd))
     assert worst < tol, f"gradient mismatch: {worst:.5f} >= {tol}"
     return worst
+
+
+def sum_all(tape, x):
+    """Sum of all elements of x as a 1x1 tensor; recorded unless tape is None."""
+    out = Tensor(np.asarray([[x.data.sum(dtype=np.float64)]]))
+
+    def bwd(dout):
+        return (np.full_like(x.data, dout[0, 0]),)
+
+    if tape is not None:
+        tape.record(out, (x,), bwd)
+    return out
 
 
 def weighted_sum(tape, out, weights):

@@ -6,16 +6,15 @@ import pytest
 
 from fckan import kernels
 from fckan.basis import (
-    BENCH_KINDS,
     FCKAN_FUNCTIONS,
     KINDS,
-    UNARY_OP_KINDS,
     BasisConfigError,
     BSplineGrid,
     RBFGrid,
     grid_from_record,
     grid_record,
 )
+from fckan.tensor import Tensor, UnsupportedKindError, apply_unary
 
 
 def _value(name, x):
@@ -31,26 +30,45 @@ def _deriv_row(grid, x):
     return grid.derivs(np.asarray([x], dtype=np.float64))[0]
 
 
+ELEMENTWISE = [n for n, use in KINDS.items() if use.grid is None]
+
+
 class TestRegistry:
     def test_views(self):
-        assert set(BENCH_KINDS) == {"bspline", "rbf", "dog", "relu", "sin", "cos", "tan",
-                                    "arctan"}
-        assert set(UNARY_OP_KINDS) == {"relu", "sin", "cos", "arctan", "tanh"}
-        assert set(FCKAN_FUNCTIONS) == {"sin", "cos", "arctan", "relu"}
-        assert len(BENCH_KINDS) == 8 and len(UNARY_OP_KINDS) == 5 and len(FCKAN_FUNCTIONS) == 4
+        assert list(KINDS) == ["bspline", "rbf", "dog", "relu", "sin", "cos", "tan", "arctan"]
+        assert FCKAN_FUNCTIONS == ("relu", "sin", "cos", "arctan")
+        assert [f.name for f in dataclasses.fields(KINDS["sin"])] == ["bench", "fckan", "grid"]
+        assert all(lo < hi for lo, hi in (use.bench for use in KINDS.values()))
 
     def test_grid_kinds(self):
         assert {n for n, use in KINDS.items() if use.grid} == {"bspline", "rbf"}
 
-    @pytest.mark.parametrize("name", [n for n, use in KINDS.items() if use.grid is None])
+    @pytest.mark.parametrize("name", ELEMENTWISE)
     def test_elementwise_kinds_have_kernel_values(self, name):
         x = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
         assert np.isfinite(kernels.unary_values(name, x)).all()
 
-    @pytest.mark.parametrize("name", UNARY_OP_KINDS)
+    @pytest.mark.parametrize("name", FCKAN_FUNCTIONS)
     def test_trainable_kinds_have_kernel_derivatives(self, name):
         x = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
         assert np.isfinite(kernels.unary_derivs(name, x)).all()
+
+    def test_tables_agree(self):
+        # kernels.unary_derivs and apply_unary follow KINDS: the kinds that are
+        # only benchmarked have no derivative, and apply_unary takes exactly
+        # the fc-kan functions, not silu, which the spline models call by name
+        x = np.linspace(-1.0, 1.0, 9, dtype=np.float32)
+        bench_only = [n for n in ELEMENTWISE if n not in FCKAN_FUNCTIONS]
+        assert bench_only == ["dog", "tan"]
+        for name in bench_only:
+            with pytest.raises(ValueError, match=name):
+                kernels.unary_derivs(name, x)
+        assert kernels.unary_derivs("silu", x).shape == x.shape
+        for name in FCKAN_FUNCTIONS:
+            assert apply_unary(None, name, Tensor(x)).shape == (1, 9)
+        for name in [*bench_only, "silu", "bspline", "rbf"]:
+            with pytest.raises(UnsupportedKindError, match=name):
+                apply_unary(None, name, Tensor(x))
 
 
 class TestConfig:
@@ -191,6 +209,16 @@ class TestDerivatives:
         grid = RBFGrid(5, -1.0, 1.0)
         assert _deriv_row(grid, float(grid.centers[3]))[3] == 0.0
 
+    def test_rbf_derivative_at_non_finite_inputs(self):
+        # the limit at +-inf is 0 (the formula alone gives inf * 0); NaN
+        # stays NaN, and the finite rows keep their bits
+        grid = RBFGrid()
+        finite = np.array([-3.0, 0.3, 1e6])
+        got = grid.derivs(np.array([np.inf, -3.0, -np.inf, 0.3, np.nan, 1e6]))
+        assert not got[[0, 2]].any()
+        assert np.isnan(got[4]).all()
+        assert got[[1, 3, 5]].tobytes() == grid.derivs(finite).tobytes()
+
     def test_bspline_derivatives_sum_to_zero_inside(self):
         sums = BSplineGrid(5, 3, -1.0, 1.0).derivs(np.linspace(-0.99, 0.99, 50)).sum(axis=1)
         assert np.all(np.abs(sums) <= 1e-5)
@@ -206,7 +234,7 @@ class TestDerivatives:
             d = _deriv_row(kind, x)
             assert np.max(np.abs(d - fd) / (np.abs(fd) + 1e-3)) < 1e-3
 
-    @pytest.mark.parametrize("name", ["relu", "sin", "cos", "arctan", "tanh", "dog"])
+    @pytest.mark.parametrize("name", FCKAN_FUNCTIONS)
     def test_elementwise_derivatives_match_fd_sweep(self, name):
         rng = np.random.default_rng(6)
         xs = rng.uniform(-2, 2, 100)

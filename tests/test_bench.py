@@ -7,8 +7,8 @@ import pytest
 
 import fckan
 from fckan import kernels
+from fckan.basis import KINDS
 from fckan.bench import (
-    BENCH_KINDS,
     CSV_FIELDS,
     bench_function,
     bench_suite,
@@ -50,7 +50,7 @@ def test_input_contracts():
 def test_suite_has_all_eight_sorted(tmp_path):
     results = bench_suite(n=2_000, repeats=3)
     assert len(results) == 8
-    assert {r.function for r in results} == set(BENCH_KINDS)
+    assert {r.function for r in results} == set(KINDS)
     means = [r.mean_us for r in results]
     assert means == sorted(means, reverse=True)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import image_fixture, label_fixture, require_dataset, synthetic_split
+from conftest import image_fixture, label_fixture, require_dataset, synthetic_split, take_subset
 from fckan.data import (
     DataError,
     IdxFormatError,
@@ -16,7 +16,6 @@ from fckan.data import (
     load_images,
     load_labels,
     parse_idx,
-    take_subset,
 )
 
 
@@ -176,12 +175,6 @@ class TestBatchIter:
                 assert len(matches) >= 1
                 seen.append(int(matches[0]))
         assert sorted(set(seen)) == list(range(37))
-
-    def test_no_shuffle_is_sequential(self):
-        split = synthetic_split(n=12)
-        xb, yb = next(batch_iter(split, 12, seed=0, shuffle=False))
-        assert np.array_equal(xb, split.images)
-        assert np.array_equal(yb, split.labels)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):

@@ -52,7 +52,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(kind="fc-kan", functions=())
         with pytest.raises(ConfigError):
-            ModelConfig(kind="fc-kan", functions=("sin", "tanh"))
+            ModelConfig(kind="fc-kan", functions=("sin", "tan"))
         with pytest.raises(ConfigError):
             ModelConfig(kind="fc-kan", functions=("sin",), combine="mean")
         with pytest.raises(ConfigError):

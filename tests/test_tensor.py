@@ -17,9 +17,8 @@ from fckan.tensor import (
     matmul,
     silu,
     softmax_cross_entropy,
-    sum_all,
 )
-from gradcheck import check_grads, weighted_sum
+from gradcheck import check_grads, sum_all, weighted_sum
 
 
 def test_tensor_is_2d_float32():
@@ -93,7 +92,7 @@ class TestApplyUnary:
         tape.backward(sum_all(tape, apply_unary(tape, "relu", x)))
         assert x.grad[0, 0] == 0.0
 
-    @pytest.mark.parametrize("kind", ["relu", "sin", "cos", "arctan", "tanh"])
+    @pytest.mark.parametrize("kind", ["relu", "sin", "cos", "arctan"])
     def test_grad_matches_fd(self, kind):
         rng = np.random.default_rng(11)
         # keep points away from relu's kink so central differences are valid
@@ -244,8 +243,6 @@ class TestBasisExpand:
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    # rbf_derivs at +-inf is inf * 0
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     def test_values_and_dx_equal_one_call_bit_for_bit(self, grid, shape):
         m, d = shape
         nb = grid.num_basis
@@ -311,18 +308,14 @@ class TestBackward:
         with pytest.raises(TapeError, match="not produced on this tape"):
             short_tape.backward(loss)
 
-    def test_double_backward_rejected_then_reset_allows_reuse(self):
+    def test_double_backward_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         tape = Tape()
         loss = sum_all(tape, x)
         tape.backward(loss)
-        with pytest.raises(TapeError, match="reset"):
+        with pytest.raises(TapeError, match="already swept"):
             tape.backward(loss)
-        tape.reset()
-        assert len(tape) == 0
-        loss2 = sum_all(tape, x)
-        tape.backward(loss2)  # grads keep accumulating additively
-        assert x.grad.tolist() == [[2.0, 2.0]]
+        assert x.grad.tolist() == [[1.0, 1.0]]  # the rejected sweep added nothing
 
     def test_replay_is_deterministic(self):
         def run():
@@ -331,7 +324,7 @@ class TestBackward:
             w = Tensor(rng.uniform(-1, 1, (6, 3)), requires_grad=True)
             tape = Tape()
             loss = softmax_cross_entropy(
-                tape, matmul(tape, apply_unary(tape, "tanh", x), w), [0, 1, 2, 0]
+                tape, matmul(tape, apply_unary(tape, "arctan", x), w), [0, 1, 2, 0]
             )
             tape.backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()
