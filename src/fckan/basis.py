@@ -58,8 +58,14 @@ class BSplineGrid:
     def values(self, x):
         return kernels.bspline_values(x, self.knots, self.spline_order)
 
+    def values_and_derivs(self, x):
+        """(values, derivs) at x from one Cox-de Boor pass."""
+        lower = []
+        values = kernels.bspline_values(x, self.knots, self.spline_order, lower)
+        return values, kernels.bspline_derivs(x, self.knots, self.spline_order, lower)
+
     def derivs(self, x):
-        return kernels.bspline_derivs(x, self.knots, self.spline_order)
+        return self.values_and_derivs(x)[1]
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,13 @@ class RBFGrid:
     def values(self, x):
         return kernels.rbf_values(x, self.centers, self.bandwidth)
 
+    def values_and_derivs(self, x):
+        """(values, derivs) at x, the derivatives from the values."""
+        values = self.values(x)
+        return values, kernels.rbf_derivs(x, self.centers, self.bandwidth, values)
+
     def derivs(self, x):
-        return kernels.rbf_derivs(x, self.centers, self.bandwidth)
+        return self.values_and_derivs(x)[1]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Elementwise basis functions and their derivatives work on float32 arrays;
 the grid-expanding bases (B-spline, Gaussian RBF) work on float64 arrays and
 return one row of basis values per input. Every kernel is a vectorized NumPy
 expression; the B-spline runs Cox-de Boor on the k + 1 basis functions that
-are nonzero at each input rather than on the whole basis.
+are nonzero at each input rather than on the whole basis. A grid's
+derivatives come from its values pass at the same inputs rather than from a
+second one: rbf_derivs takes the RBF values, and bspline_derivs the order
+k - 1 bases that bspline_values passed through.
 """
 
 import functools
@@ -86,13 +89,15 @@ def _knot_tables(knot_bytes, order):
     return ext, targets, keeps
 
 
-def _local_bases(x, knots, order, ext):
+def _local_bases(x, knots, order, ext, lower=None):
     """Knot cell of each x and the order-``order`` B-splines nonzero on it.
 
     Cell j is the half-open interval t_j <= x < t_{j+1}. Returns j and the
     list b with b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell
     (outside the knot span, NaN, +-inf) is given cell 0 and all-zero values.
-    ``ext`` is the extended knot vector of _knot_tables.
+    ``ext`` is the extended knot vector of _knot_tables. Given a list
+    ``lower`` and order >= 1, the pass also puts in it j, the knots t around
+    each cell and the order - 1 bases, taken on the way to order ``order``.
     """
     last = knots.shape[0] - 2
     j = np.searchsorted(knots, x, side="right") - 1
@@ -105,6 +110,8 @@ def _local_bases(x, knots, order, ext):
     above = t[order:] - x  # row i: t_{j+i+1} - x
     b = [inside.astype(np.float64)]
     for r in range(1, order + 1):
+        if r == order and lower is not None:
+            lower.extend((j, t, b))  # b[c] = N_{j-order+1+c}^{order-1}
         # N_i^r = (x - t_i) / (t_{i+r} - t_i) N_i^{r-1}
         #       + (t_{i+r+1} - x) / (t_{i+r+1} - t_{i+1}) N_{i+1}^{r-1},
         # where b[c] = N_i^{r-1} for i = j - r + 1 + c feeds N_{i-1}^r and N_i^r
@@ -123,7 +130,9 @@ def _scatter(cols, j, nbasis, targets, keeps):
     Entries whose column falls off either end are written to column 0 as
     zeros. Off the left end that write comes before the row's own column-0
     entry, which has a larger c; a row that runs off the right end has no
-    column-0 entry, because nbasis > order.
+    column-0 entry, because nbasis > order, and keeps the zero of its last
+    column, cols[-1] * 0. That is +0.0 as long as cols[-1] is not negative,
+    which holds for B-spline values and for bspline_derivs' last column.
     """
     n = j.shape[0]
     out = np.zeros((n, nbasis))
@@ -134,55 +143,74 @@ def _scatter(cols, j, nbasis, targets, keeps):
     return out
 
 
-def _bspline(x, knots, order):
-    # the body of bspline_values, which bspline_derivs calls too: a tracer
-    # that replaces the public kernels then never times one inside the other
-    nbasis = knots.shape[0] - order - 1
-    ext, targets, keeps = _knot_tables(knots.tobytes(), order)
-    j, b = _local_bases(x, knots, order, ext)
-    out = _scatter(b, j, nbasis, targets, keeps)
-    if order >= 1:
-        out[~np.isfinite(x)] = np.nan
-    return out
-
-
-def bspline_values(x, knots, order):
+def bspline_values(x, knots, order, lower=None):
     """All order-``order`` B-spline basis values at each x.
 
     x: float64 [n]; knots: strictly increasing float64 [nbasis + order + 1].
     Returns float64 [n, nbasis] with nbasis = len(knots) - order - 1. Rows of
     x outside the knot span are zero; rows of NaN or +-inf x are NaN from
     order 1 on, as the full Cox-de Boor recursion gives them.
+
+    Given an empty list ``lower``, the pass also puts in it the knot cells and
+    the order-(k-1) local bases it went through on its way to order k: what
+    bspline_derivs takes to give the derivatives at the same x.
     """
-    return _bspline(x, knots, order)
+    nbasis = knots.shape[0] - order - 1
+    ext, targets, keeps = _knot_tables(knots.tobytes(), order)
+    j, b = _local_bases(x, knots, order, ext, lower)
+    out = _scatter(b, j, nbasis, targets, keeps)
+    if order >= 1:
+        out[~np.isfinite(x)] = np.nan
+    return out
 
 
-def bspline_derivs(x, knots, order):
+def bspline_derivs(x, knots, order, lower):
     """First derivatives of the order-``order`` basis functions at each x,
 
         d/dx N_i^k = k * (N_i^{k-1} / (t_{i+k} - t_i) - N_{i+1}^{k-1} / (t_{i+k+1} - t_{i+1})),
 
-    from the order-(k-1) values on the same knots. Rows of NaN or +-inf x
-    are NaN from order 2 on, zero below.
+    from the order-(k-1) local bases that bspline_values(x, knots, order,
+    lower) left in ``lower``. Rows of NaN or +-inf x are NaN from order 2 on,
+    zero below.
     """
+    nbasis = knots.shape[0] - order - 1
     if order == 0:
-        return np.zeros((x.shape[0], knots.shape[0] - 1), dtype=np.float64)
-    q = _bspline(x, knots, order - 1) / (knots[order:] - knots[:-order])
-    return order * (q[:, :-1] - q[:, 1:])
+        return np.zeros((x.shape[0], nbasis), dtype=np.float64)
+    j, t, bases = lower
+    _, targets, keeps = _knot_tables(knots.tobytes(), order)
+    # q = N_i^{k-1} / (t_{i+k} - t_i) for i = j - k + 1 + c, so column c of
+    # the local derivatives, N_{j-k+c}^k', is k * (q[c - 1] - q[c]) with
+    # q[-1] = q[k] = 0, and the last one is k * q[k - 1] >= 0
+    cols, prev = [], 0.0
+    for c, b in enumerate(bases):
+        q = b / (t[c + order] - t[c])
+        cols.append(order * (prev - q))
+        prev = q
+    cols.append(order * (prev - 0.0))
+    out = _scatter(cols, j, nbasis, targets, keeps)
+    if order >= 2:
+        out[~np.isfinite(x)] = np.nan
+    return out
+
+
+def _rbf_offsets(x, centers, h):
+    # x - c for every center, with x clipped to 64 bandwidths beyond the
+    # outer centers: every value there is exactly 0 already (exp(-64^2)
+    # underflows), and neither z * z nor -2 d / h^2 can overflow, even at
+    # +-inf; NaN stays NaN
+    x = np.clip(x, centers[0] - 64 * h, centers[-1] + 64 * h)
+    return x[:, None] - centers[None, :]
 
 
 def rbf_values(x, centers, h):
-    """Gaussian RBF values exp(-((x - c) / h)^2) for every center."""
-    z = (x[:, None] - centers[None, :]) / h
+    """Gaussian RBF values exp(-((x - c) / h)^2) for every center. Rows of x
+    far outside the centers, +-inf included, are 0; rows of NaN x are NaN."""
+    z = _rbf_offsets(x, centers, h) / h
     return np.exp(-z * z)
 
 
-def rbf_derivs(x, centers, h):
-    """d/dx of each Gaussian RBF component at x. Rows of +-inf x are 0, the
-    limit, where the formula gives inf * 0; rows of NaN x are NaN."""
-    d = x[:, None] - centers[None, :]
-    z = d / h
-    with np.errstate(invalid="ignore"):
-        out = -2.0 * d / (h * h) * np.exp(-z * z)
-    out[np.isinf(x)] = 0.0
-    return out
+def rbf_derivs(x, centers, h, values):
+    """d/dx of each Gaussian RBF component at x, -2 (x - c) / h^2 times its
+    ``values`` from rbf_values(x, centers, h). Rows of x far outside the
+    centers, +-inf included, are 0; rows of NaN x are NaN."""
+    return -2.0 * _rbf_offsets(x, centers, h) / (h * h) * values

@@ -260,24 +260,33 @@ def basis_expand(tape, x: Tensor, grid) -> Tensor:
     feature i, matching the row layout of the spline weight matrices. The
     grid is evaluated in float64 over blocks of at most BLOCK inputs, each
     written straight into the float32 output; every row depends only on its
-    own input, so the blocks give the same bits as one call would.
+    own input, so the blocks give the same bits as one call would. Only when
+    recording onto a tape with an x that requires grad does the forward pass
+    also take each block's float64 derivatives, from the same pass as its
+    values, and keep them for the backward pass, which then only reduces.
     """
     m, d = x.shape
     nb = grid.num_basis
     flat = x.data.reshape(-1)
     values = np.empty((m * d, nb), dtype=np.float32)
+    derivs = [] if tape is not None and x.requires_grad else None
     for s in range(0, m * d, BLOCK):
-        values[s:s + BLOCK] = grid.values(flat[s:s + BLOCK].astype(np.float64))
+        block = flat[s:s + BLOCK].astype(np.float64)
+        if derivs is None:
+            values[s:s + BLOCK] = grid.values(block)
+        else:
+            block_values, block_derivs = grid.values_and_derivs(block)
+            values[s:s + BLOCK] = block_values
+            derivs.append(block_derivs)
     out = Tensor(values.reshape(m, d * nb))
 
     def bwd(dout):
-        if not x.requires_grad:
+        if derivs is None:
             return (None,)
         dvalues = dout.reshape(m * d, nb)
         dx = np.empty(m * d, dtype=np.float32)
-        for s in range(0, m * d, BLOCK):
-            derivs = grid.derivs(flat[s:s + BLOCK].astype(np.float64))
-            dx[s:s + BLOCK] = (dvalues[s:s + BLOCK] * derivs).sum(axis=1)
+        for s, block_derivs in zip(range(0, m * d, BLOCK), derivs):
+            dx[s:s + BLOCK] = np.einsum("ij,ij->i", dvalues[s:s + BLOCK], block_derivs)
         return (dx.reshape(m, d),)
 
     return _emit(tape, out, (x,), bwd)

@@ -14,12 +14,13 @@ the NumPy buffers it allocates.
 
 Per kind, the median and quartiles over the repeats of the milliseconds per
 step and per forward, and the forward's traced peak MiB, are appended as one
-entry, with bench.machine_meta() and the git commit of the measured fckan
-source, to the JSON list in --out.
+entry, with bench.machine_meta(), the git commit of the measured fckan
+source and a SHA-256 of its files, to the JSON list in --out.
 The file is a trajectory: a run appends and never rewrites.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +56,19 @@ def source_commit():
         return git("rev-parse", "HEAD"), bool(git("status", "--porcelain", "--", "."))
     except (OSError, subprocess.CalledProcessError):
         return None, None
+
+
+def source_sha256():
+    """SHA-256 over the imported fckan package's .py files, each taken as its
+    name and its bytes in name order, so that two uncommitted variants of one
+    commit can be told apart."""
+    src = os.path.dirname(os.path.abspath(fckan.__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), "rb") as f:
+                digest.update(name.encode() + b"\0" + f.read())
+    return digest.hexdigest()
 
 
 class Kind:
@@ -129,6 +143,7 @@ def main(argv=None) -> int:
     entries.append({
         "commit": commit,
         "source_dirty": dirty,
+        "source_sha256": source_sha256(),
         "created_utc": started,
         "machine": machine_meta(),
         "protocol": {"widths": [784, 64, 10], "step_batch": BATCH,

@@ -1,12 +1,14 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
-Criteria 1, 5 and 6 run anywhere; 2, 3, 4 and 7 train on the real datasets
+Criteria 1, 5, 6 and 8 run anywhere; 2, 3, 4 and 7 train on the real datasets
 and skip (with a reason) when the IDX files are absent. Criterion 7 also runs
 on seeded synthetic MNIST-shaped samples, so it is checked anywhere. The
 training reproductions take minutes per run on a desktop CPU.
 
 Run `pytest tests/test_acceptance.py -v -s` to watch the checks stream by.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from conftest import block_digits, require_dataset, synthetic_split, take_subset
 from fckan.bench import bench_suite
 from fckan.cli import main
 from fckan.data import batch_iter, load_dataset
-from fckan.models import ModelConfig, build_model
+from fckan.models import MODELS, ModelConfig, build_model
 from fckan.tensor import Tensor
 from fckan.training import (
     AdamW,
@@ -28,6 +30,7 @@ from fckan.training import (
     train_model,
     train_step,
 )
+from golden_trajectory import BATCH, LR, default_model
 from gradcheck import check_model_grads
 
 REFERENCE = TrainConfig()  # batch 64, lr 1e-3, gamma 0.8, wd 1e-4, 3 seeds
@@ -275,3 +278,34 @@ class TestC7OverfitOracle:
         reached = _epochs_to_memorize(kind, kw, block_digits(64, seed=0))
         assert reached is not None, f"{kind} failed to memorize in 200 epochs"
         _ok("7s", f"{kind} hit 100% train accuracy at epoch {reached} on synthetic digits")
+
+
+# -- criterion 8: training-time ordering, no dataset required -----------------
+
+class TestC8TrainingTime:
+    REPEATS, STEPS = 7, 3
+
+    def test_fckan_step_under_half_of_every_spline_kind(self):
+        # the abstract's "potential improvements in training time" over
+        # B-spline and RBF KANs, per model: the paper's fc-kan (sin, cos,
+        # arctan, relu by product) against each spline kind, all in this
+        # process, the kinds taken in turn within every repeat so that host
+        # noise falls on all of them; the ratio measured about 0.2-0.3
+        kinds = ["fc-kan"] + [k for k, m in MODELS.items() if m.spline is not None]
+        models = {k: default_model(k) for k in kinds}
+        rng = np.random.default_rng(8)
+        xb, yb = rng.random((BATCH, 784), dtype=np.float32), rng.integers(0, 10, BATCH)
+        times = {k: [] for k in kinds}
+        for repeat in range(self.REPEATS + 1):  # the first round warms up
+            for kind in kinds:
+                model, opt = models[kind]
+                t0 = time.perf_counter()
+                for _ in range(self.STEPS):
+                    train_step(model, opt, xb, yb, LR)
+                if repeat:
+                    times[kind].append((time.perf_counter() - t0) / self.STEPS)
+        median = {k: float(np.median(t)) for k, t in times.items()}
+        ratios = {k: median["fc-kan"] / median[k] for k in kinds[1:]}
+        assert all(r < 0.5 for r in ratios.values()), (median, ratios)
+        _ok("8", ", ".join(f"fc-kan/{k} step {r:.2f}" for k, r in ratios.items())
+            + f" (fc-kan {median['fc-kan'] * 1e3:.1f} ms)")

@@ -1,4 +1,5 @@
-"""The NumPy kernels: local-support B-splines against the dense oracle."""
+"""The NumPy kernels: local-support B-splines against the dense oracle, and
+the derivatives that the grids take from their values pass."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,17 @@ from hypothesis import strategies as st
 
 import dense_bspline
 from fckan import kernels
-from fckan.basis import BSplineGrid
+from fckan.basis import BSplineGrid, RBFGrid
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def bspline_derivs(x, knots, order):
+    """The derivatives from the values pass, as BSplineGrid.values_and_derivs
+    takes them."""
+    lower = []
+    kernels.bspline_values(x, knots, order, lower)
+    return kernels.bspline_derivs(x, knots, order, lower)
 
 
 @st.composite
@@ -40,7 +49,7 @@ def grid_and_inputs(draw, order):
 def test_bspline_matches_dense_oracle(order, data):
     knots, x = data.draw(grid_and_inputs(order))
     for ours, oracle in ((kernels.bspline_values, dense_bspline.bspline_values),
-                         (kernels.bspline_derivs, dense_bspline.bspline_derivs)):
+                         (bspline_derivs, dense_bspline.bspline_derivs)):
         got, want = ours(x, knots, order), oracle(x, knots, order)
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.shape == (x.shape[0], knots.shape[0] - order - 1)
@@ -54,8 +63,20 @@ def test_rows_outside_span_are_zero_and_non_finite_rows_follow_recursion():
     values = kernels.bspline_values(x, knots, 3)
     assert not values[:3].any()
     assert np.isnan(values[3:]).all()
-    assert np.isnan(kernels.bspline_derivs(x, knots, 3)[3:]).all()
-    assert not kernels.bspline_derivs(x, knots, 1)[3:].any()
+    assert np.isnan(bspline_derivs(x, knots, 3)[3:]).all()
+    assert not bspline_derivs(x, knots, 1)[3:].any()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bspline_derivs_are_the_bits_of_a_second_pass_at_order_k_minus_1(order, data):
+    # the derivatives taken from the order k - 1 bases of the values pass
+    # equal, bit for bit, the formula on a separate order k - 1 values pass
+    knots, x = data.draw(grid_and_inputs(order))
+    q = kernels.bspline_values(x, knots, order - 1) / (knots[order:] - knots[:-order])
+    want = order * (q[:, :-1] - q[:, 1:])
+    assert bspline_derivs(x, knots, order).tobytes() == want.tobytes()
 
 
 def test_bspline_derivs_do_not_call_the_public_values_kernel(monkeypatch):
@@ -64,7 +85,9 @@ def test_bspline_derivs_do_not_call_the_public_values_kernel(monkeypatch):
     # name in the module that is the public values kernel
     knots = BSplineGrid(5, 3).knots
     x = np.linspace(-1.0, 1.0, 7)
-    want = kernels.bspline_derivs(x, knots, 3)
+    lower = []
+    kernels.bspline_values(x, knots, 3, lower)
+    want = bspline_derivs(x, knots, 3)
 
     def forbidden(*args):
         raise AssertionError("bspline_derivs called bspline_values")
@@ -73,7 +96,28 @@ def test_bspline_derivs_do_not_call_the_public_values_kernel(monkeypatch):
     for name, value in list(vars(kernels).items()):
         if value is public:
             monkeypatch.setattr(kernels, name, forbidden)
-    np.testing.assert_array_equal(kernels.bspline_derivs(x, knots, 3), want)
+    assert kernels.bspline_derivs(x, knots, 3, lower).tobytes() == want.tobytes()
+
+
+def test_rbf_derivs_from_values_keep_the_bits_of_the_formula():
+    grid = RBFGrid()
+    x = np.random.default_rng(4).uniform(-30.0, 30.0, 2000)
+    d = x[:, None] - grid.centers[None, :]
+    z = d / grid.bandwidth
+    want = -2.0 * d / (grid.bandwidth * grid.bandwidth) * np.exp(-z * z)
+    values = kernels.rbf_values(x, grid.centers, grid.bandwidth)
+    got = kernels.rbf_derivs(x, grid.centers, grid.bandwidth, values)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [RBFGrid(), RBFGrid(5, 10.0, 10.5)], ids=["default", "narrow"])
+def test_rbf_far_outside_the_centers_is_exactly_zero(grid):
+    # finite inputs whose square or -2 d / h^2 would overflow, and +-inf; the
+    # suite turns any NumPy warning into an error
+    x = np.array([1e200, -1e200, 1.7e308, -1.7e308, np.finfo(np.float64).max, np.inf, -np.inf])
+    values, derivs = grid.values_and_derivs(x)
+    assert (values == 0.0).all() and (derivs == 0.0).all()
+    assert np.isnan(grid.values_and_derivs(np.array([np.nan]))[1]).all()
 
 
 def test_unknown_unary_kind_raises():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fckan import tensor
+from fckan import kernels, tensor
 from fckan.basis import BSplineGrid, RBFGrid
 from fckan.tensor import (
     LabelError,
@@ -218,7 +218,9 @@ class TestSilu:
 
 class TestBasisExpand:
     """basis_expand evaluates its grid over blocks of at most BLOCK inputs and
-    must give the bits of one grid call over all of them."""
+    must give the bits of one grid call over all of them. With a tape and an
+    input that requires grad it takes each block's derivatives in the forward
+    pass, from that block's values pass; otherwise it takes none."""
 
     B = 7
     # [m x d] shapes of m*d = 0, 1, B - 1, B, B + 1 and 3B + 2 inputs
@@ -228,6 +230,17 @@ class TestBasisExpand:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(tensor, "BLOCK", self.B)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of each grid kernel, counted under its name in fckan.kernels."""
+        counts = {}
+        for name in ("bspline_values", "bspline_derivs", "rbf_values", "rbf_derivs"):
+            def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _kernel(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        return counts
 
     @staticmethod
     def inputs(shape, grid):
@@ -255,10 +268,40 @@ class TestBasisExpand:
 
         r = np.random.default_rng(3).uniform(0.5, 1.5, (m, d * nb)).astype(np.float32)
         tape.backward(weighted_sum(tape, out, r))
-        dx = (r.reshape(m * d, nb) * grid.derivs(flat)).sum(axis=1)
+        derivs = grid.derivs(flat)
+        dx = np.einsum("ij,ij->i", r.reshape(m * d, nb), derivs)
         want_grad = np.zeros((m, d), dtype=np.float32)
         want_grad += dx.astype(np.float32).reshape(m, d)  # as Tensor._accumulate adds it
         assert x.grad.tobytes() == want_grad.tobytes()
+        # the same float64 products summed in another order differ by float64
+        # rounding only, which is below a float32 step
+        other = (r.reshape(m * d, nb) * derivs).sum(axis=1).astype(np.float32)
+        np.testing.assert_allclose(x.grad.ravel(), other, rtol=2.0**-23, atol=0, equal_nan=True)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_derivatives_once_per_block_in_the_forward_pass(self, grid, shape, calls):
+        m, d = shape
+        blocks = -(-m * d // self.B)
+        x = Tensor(self.inputs(shape, grid), requires_grad=True)
+        tape = Tape()
+        out = basis_expand(tape, x, grid)
+        assert calls == ({f"{grid.name}_values": blocks, f"{grid.name}_derivs": blocks}
+                         if blocks else {})
+        before = dict(calls)
+        tape.backward(sum_all(tape, out))
+        assert calls == before
+        assert x.grad.shape == (m, d)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
+    def test_no_derivatives_without_a_tape_or_a_grad(self, grid, grad, calls):
+        x = Tensor(self.inputs((2, 11), grid), requires_grad=grad)
+        tape = None if grad else Tape()
+        out = basis_expand(tape, x, grid)
+        assert calls == {f"{grid.name}_values": 4}
+        want = grid.values(x.data.ravel().astype(np.float64)).astype(np.float32)
+        assert out.data.tobytes() == want.reshape(out.shape).tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
     def test_no_dx_for_an_input_without_grad(self, grid):
