@@ -64,9 +64,6 @@ class BSplineGrid:
         values = kernels.bspline_values(x, self.knots, self.spline_order, lower)
         return values, kernels.bspline_derivs(x, self.knots, self.spline_order, lower)
 
-    def derivs(self, x):
-        return self.values_and_derivs(x)[1]
-
 
 @dataclass(frozen=True)
 class RBFGrid:
@@ -82,10 +79,13 @@ class RBFGrid:
         if g < 2:
             raise BasisConfigError(f"rbf needs grid_size >= 2 (bandwidth undefined), got G={g}")
         _check_range(self)
+        bandwidth = (self.hi - self.lo) / (g - 1)
+        if bandwidth**2 < np.finfo(np.float64).tiny:  # the derivatives divide by it
+            raise BasisConfigError(f"rbf bandwidth {bandwidth} is too small to square")
         centers = np.linspace(self.lo, self.hi, g, dtype=np.float64)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "bandwidth", (self.hi - self.lo) / (g - 1))
+        object.__setattr__(self, "bandwidth", bandwidth)
 
     @property
     def num_basis(self) -> int:
@@ -98,9 +98,6 @@ class RBFGrid:
         """(values, derivs) at x, the derivatives from the values."""
         values = self.values(x)
         return values, kernels.rbf_derivs(x, self.centers, self.bandwidth, values)
-
-    def derivs(self, x):
-        return self.values_and_derivs(x)[1]
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def _make_pass(name: str, n: int):
     return lambda: grid.values(x)
 
 
-def bench_function(name: str, n: int = 1_000_000, repeats: int = 10) -> BenchResult:
+def bench_function(name: str, n: int, repeats: int) -> BenchResult:
     """Time one function over n elements, repeats times plus a warm-up."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -71,7 +71,7 @@ def bench_function(name: str, n: int = 1_000_000, repeats: int = 10) -> BenchRes
     )
 
 
-def bench_suite(n: int = 1_000_000, repeats: int = 10):
+def bench_suite(n: int, repeats: int):
     """All eight functions under identical conditions, slowest first."""
     results = [bench_function(k, n=n, repeats=repeats) for k in KINDS]
     results.sort(key=lambda r: r.mean_us, reverse=True)

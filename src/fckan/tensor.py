@@ -22,6 +22,9 @@ from .basis import FCKAN_FUNCTIONS
 # a few MiB each instead of some 50 MiB.
 BLOCK = 1 << 16
 
+# layer_norm's variance guard, in the float32 its rows are normalised in
+LN_EPS = np.float32(1e-5)
+
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy the operation's contract."""
@@ -188,8 +191,9 @@ def elementwise(tape, op: str, a: Tensor, b: Tensor) -> Tensor:
     return _emit(tape, out, (a, b), bwd)
 
 
-def layer_norm(tape, x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
+def layer_norm(tape, x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-row normalization to zero mean / unit variance (LN_EPS added to
+    the variance), then affine."""
     d = x.shape[1]
     if d == 0:
         raise ShapeError("layer_norm on empty rows")
@@ -201,7 +205,7 @@ def layer_norm(tape, x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) 
     xc = x.data - mu
     sq = xc * xc
     var = sq.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     # xc and sq are this call's own: normalise in place, then write the affine
     # output over the squared deviations, which only the variance needed
     y = np.multiply(xc, inv, out=xc)

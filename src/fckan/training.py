@@ -29,10 +29,10 @@ _TRAIN_RULES = (
     ("lr0", lambda v: v > 0, "finite and > 0"),
     ("gamma", lambda v: v > 0, "finite and > 0"),
     ("weight_decay", lambda v: v >= 0, "finite and >= 0"),
-    ("beta1", lambda v: 0 <= v < 1, "finite and in [0, 1)"),
-    ("beta2", lambda v: 0 <= v < 1, "finite and in [0, 1)"),
-    ("adam_eps", lambda v: v > 0, "finite and > 0"),
 )
+
+# AdamW's moment decay rates and denominator guard: one protocol for every model
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,6 @@ class TrainConfig:
     lr0: float = 1e-3
     gamma: float = 0.8
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     runs: int = 3
     seeds: tuple = (0, 1, 2)
 
@@ -91,22 +88,22 @@ def lr_schedule(epoch: int, lr0: float, gamma: float) -> float:
     return lr0 * gamma**epoch
 
 
-def adamw_step(theta, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-               weight_decay=0.0):
-    """One AdamW update in place; t is the 1-based step count.
+def adamw_step(theta, grad, m, v, t, lr, weight_decay=0.0):
+    """One AdamW update in place at BETA1, BETA2 and ADAM_EPS; t is the
+    1-based step count.
 
     Weight decay is decoupled: theta shrinks by lr * wd * theta before the
     bias-corrected Adam step. Arithmetic follows the array dtype.
     """
     if weight_decay:
         theta *= 1.0 - lr * weight_decay
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class AdamW:
@@ -117,9 +114,8 @@ class AdamW:
     sweeps; the caller zeroes them between steps.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, weight_decay=0.0):
         self.params = list(params)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.tensor.data) for p in self.params]
@@ -137,11 +133,8 @@ class AdamW:
                 continue
             if not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter {p.name}")
-            adamw_step(
-                p.tensor.data, g, m, v, self.t, lr,
-                beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-                weight_decay=self.weight_decay if p.decay else 0.0,
-            )
+            adamw_step(p.tensor.data, g, m, v, self.t, lr,
+                       weight_decay=self.weight_decay if p.decay else 0.0)
 
 
 def classification_metrics(preds, labels, num_classes: int):
@@ -202,13 +195,7 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
         raise DataError(f"cannot train with an empty split: train has {train.n} rows, val {val.n}")
     seed = model_cfg.seed
     model = build_model(model_cfg)
-    opt = AdamW(
-        model.params,
-        beta1=train_cfg.beta1,
-        beta2=train_cfg.beta2,
-        eps=train_cfg.adam_eps,
-        weight_decay=train_cfg.weight_decay,
-    )
+    opt = AdamW(model.params, weight_decay=train_cfg.weight_decay)
     metrics = RunMetrics(seed=seed)
     t0 = time.perf_counter()
     for epoch in range(train_cfg.epochs):

@@ -27,7 +27,7 @@ def _row(grid, x):
 
 
 def _deriv_row(grid, x):
-    return grid.derivs(np.asarray([x], dtype=np.float64))[0]
+    return grid.values_and_derivs(np.asarray([x], dtype=np.float64))[1][0]
 
 
 ELEMENTWISE = [n for n, use in KINDS.items() if use.grid is None]
@@ -102,6 +102,26 @@ class TestConfig:
             BSplineGrid(lo=-math.inf)
         with pytest.raises(BasisConfigError):
             RBFGrid(hi=math.nan)
+
+    def test_rbf_bandwidth_whose_square_underflows_rejected(self):
+        with pytest.raises(BasisConfigError, match="bandwidth"):
+            RBFGrid(8, 0.0, 1e-300)
+        with pytest.raises(BasisConfigError, match="bandwidth"):
+            grid_from_record({"name": "rbf", "grid_size": 8, "spline_order": 0,
+                              "lo": 0.0, "hi": 1e-300})
+        with pytest.raises(BasisConfigError, match="bandwidth"):
+            RBFGrid(8, 0.0, 7 * 1.49e-154)  # h^2 just below the smallest normal float64
+
+    def test_rbf_bandwidth_just_above_the_limit_evaluates(self):
+        # h^2 just above the smallest normal float64: values and derivatives
+        # come without a NumPy warning, which pytest turns into an error
+        tiny = np.finfo(np.float64).tiny
+        grid = RBFGrid(8, 0.0, 7 * 1.5e-154)
+        assert tiny <= grid.bandwidth**2 < 1.02 * tiny
+        x = np.array([-np.inf, 0.0, 0.5 * grid.hi, grid.hi, 1.0, np.inf])
+        values, derivs = grid.values_and_derivs(x)
+        assert np.isfinite(values).all() and np.isfinite(derivs).all()
+        assert values[1, 0] == 1.0 and derivs[1, 0] == 0.0
 
     def test_frozen_and_rbf_has_no_order(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -214,13 +234,14 @@ class TestDerivatives:
         # stays NaN, and the finite rows keep their bits
         grid = RBFGrid()
         finite = np.array([-3.0, 0.3, 1e6])
-        got = grid.derivs(np.array([np.inf, -3.0, -np.inf, 0.3, np.nan, 1e6]))
+        got = grid.values_and_derivs(np.array([np.inf, -3.0, -np.inf, 0.3, np.nan, 1e6]))[1]
         assert not got[[0, 2]].any()
         assert np.isnan(got[4]).all()
-        assert got[[1, 3, 5]].tobytes() == grid.derivs(finite).tobytes()
+        assert got[[1, 3, 5]].tobytes() == grid.values_and_derivs(finite)[1].tobytes()
 
     def test_bspline_derivatives_sum_to_zero_inside(self):
-        sums = BSplineGrid(5, 3, -1.0, 1.0).derivs(np.linspace(-0.99, 0.99, 50)).sum(axis=1)
+        derivs = BSplineGrid(5, 3, -1.0, 1.0).values_and_derivs(np.linspace(-0.99, 0.99, 50))[1]
+        sums = derivs.sum(axis=1)
         assert np.all(np.abs(sums) <= 1e-5)
 
     @pytest.mark.parametrize("kind", [BSplineGrid(5, 3, -1.0, 1.0), RBFGrid(8, -2.0, 2.0)])

@@ -137,6 +137,24 @@ class TestReport:
         assert "**98.00 ± 0.00**" in out
         assert "**97.00 ± 0.00**" not in out
 
+    def test_renders_a_record_with_the_old_optimiser_keys(self, tmp_path, capsys):
+        # records written before AdamW's betas and eps became constants hold
+        # them in their train block; the report reads only train.dataset, so
+        # the old record and a new one with the same runs give the same row
+        fake_record(tmp_path / "new.json")
+        record = json.loads((tmp_path / "new.json").read_text())
+        assert not {"beta1", "beta2", "adam_eps"} & set(record["train"])
+        train = {}
+        for key, value in record["train"].items():
+            train[key] = value
+            if key == "weight_decay":
+                train.update(beta1=0.9, beta2=0.999, adam_eps=1e-8)
+        (tmp_path / "old.json").write_text(json.dumps({**record, "train": train}))
+        assert main(["report", "--inputs", str(tmp_path / "*.json")]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("| mnist |")]
+        assert len(rows) == 2 and rows[0] == rows[1]
+
     def test_empty_glob_fails(self, tmp_path, capsys):
         rc = main(["report", "--inputs", str(tmp_path / "none-*.json")])
         assert rc == 1
