@@ -23,9 +23,14 @@ class BasisConfigError(ValueError):
     """Invalid basis-function configuration."""
 
 
-def _check_range(grid):
+def _check_range(grid) -> float:
+    """The width hi - lo of the grid's range, which must be finite and positive."""
     if not (math.isfinite(grid.lo) and math.isfinite(grid.hi) and grid.lo < grid.hi):
         raise BasisConfigError(f"grid range [{grid.lo}, {grid.hi}] is empty or not finite")
+    width = float(grid.hi) - float(grid.lo)  # a Python float overflows to inf without a warning
+    if not math.isfinite(width):
+        raise BasisConfigError(f"grid range [{grid.lo}, {grid.hi}] is wider than a float64")
+    return width
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,12 @@ class BSplineGrid:
             raise BasisConfigError(
                 f"bspline needs grid_size >= 1 and spline_order >= 0, got G={g}, k={k}"
             )
-        _check_range(self)
-        step = (self.hi - self.lo) / g
-        knots = self.lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
+        step = _check_range(self) / g
+        with np.errstate(over="ignore"):  # an infinite knot is rejected next
+            knots = self.lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
+        if not np.isfinite(knots).all():
+            raise BasisConfigError(f"bspline knots k={k} steps beyond [{self.lo}, {self.hi}] "
+                                   "are not finite")
         knots.setflags(write=False)  # shared by every model built from this grid
         object.__setattr__(self, "knots", knots)
 
@@ -78,10 +86,10 @@ class RBFGrid:
         g = self.grid_size
         if g < 2:
             raise BasisConfigError(f"rbf needs grid_size >= 2 (bandwidth undefined), got G={g}")
-        _check_range(self)
-        bandwidth = (self.hi - self.lo) / (g - 1)
-        if bandwidth**2 < np.finfo(np.float64).tiny:  # the derivatives divide by it
-            raise BasisConfigError(f"rbf bandwidth {bandwidth} is too small to square")
+        bandwidth = _check_range(self) / (g - 1)
+        # the derivatives divide by the square, a normal float64 with no overflow
+        if not np.finfo(np.float64).tiny <= bandwidth * bandwidth < math.inf:
+            raise BasisConfigError(f"rbf bandwidth {bandwidth} is too small or too large to square")
         centers = np.linspace(self.lo, self.hi, g, dtype=np.float64)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)

@@ -98,6 +98,11 @@ class ModelConfig:
         elif type(self.spline) is not type(default):
             raise ConfigError(f"{self.kind} needs a {type(default).__name__}, "
                               f"got {type(self.spline).__name__}")
+        grids = () if self.spline is None else (self.spline,)
+        if MODELS[self.kind].plus_rbf:
+            grids += (RBFGrid(self.spline.num_basis, self.spline.lo, self.spline.hi),)
+        # derived, not a field (neither compared nor saved): what basis_expand sums per layer
+        object.__setattr__(self, "grids", grids)
 
     def to_dict(self) -> dict:
         return {
@@ -233,11 +238,7 @@ def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
     layer, where h is layer-normed if the layer has ``ln_gamma`` and W_spline
     is scaled per input feature if it has ``spline_scaler``."""
     _check_input(model, X)
-    sp = model.config.spline
-    nb = sp.num_basis
-    grids = [sp]
-    if MODELS[model.config.kind].plus_rbf:
-        grids.append(RBFGrid(nb, sp.lo, sp.hi))
+    nb = model.config.spline.num_basis
     h = X
     for layer in model.layers:
         if "ln_gamma" in layer:
@@ -246,9 +247,7 @@ def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
         w = layer["spline_weight"]
         if "spline_scaler" in layer:
             w = elementwise(tape, "mul", w, repeat_rows(tape, layer["spline_scaler"], nb))
-        expanded = basis_expand(tape, h, grids[0])
-        for grid in grids[1:]:
-            expanded = elementwise(tape, "add", expanded, basis_expand(tape, h, grid))
+        expanded = basis_expand(tape, h, *model.config.grids)
         h = elementwise(tape, "add", base, matmul(tape, expanded, w))
     return h
 

@@ -256,31 +256,38 @@ def softmax_cross_entropy(tape, logits: Tensor, labels) -> Tensor:
     return _emit(tape, out, (logits,), bwd)
 
 
-def basis_expand(tape, x: Tensor, grid) -> Tensor:
-    """Expand each entry of [m x d] to its basis vector on a BSplineGrid or
-    RBFGrid, giving [m x d*nb].
+def _sum_into(out, arrays):
+    """out = the first array, then out += each later one cast to float32."""
+    for i, a in enumerate(arrays):
+        out[...] = out + a.astype(np.float32) if i else a
+
+
+def basis_expand(tape, x: Tensor, *grids) -> Tensor:
+    """Expand each entry of [m x d] to the sum of its basis vectors on one or
+    more grids of one size nb (BSplineGrid, RBFGrid), giving [m x d*nb].
 
     Column block i*nb..(i+1)*nb-1 holds the nb basis values of input
-    feature i, matching the row layout of the spline weight matrices. The
-    grid is evaluated in float64 over blocks of at most BLOCK inputs, each
-    written straight into the float32 output; every row depends only on its
-    own input, so the blocks give the same bits as one call would. Only when
-    recording onto a tape with an x that requires grad does the forward pass
-    also take each block's float64 derivatives, from the same pass as its
-    values, and keep them for the backward pass, which then only reduces.
+    feature i, matching the row layout of the spline weight matrices. Grids
+    are evaluated in float64 over blocks of at most BLOCK inputs and summed
+    into the float32 output with the bits of elementwise adds of one call per
+    grid. With a tape and an x that requires grad, the forward pass also keeps
+    each block's float64 derivatives, from its values pass, for the backward.
     """
+    if not grids or any(g.num_basis != grids[0].num_basis for g in grids):
+        raise ShapeError("basis_expand sums one or more grids of one size, got sizes "
+                         f"{[g.num_basis for g in grids]}")
     m, d = x.shape
-    nb = grid.num_basis
+    nb = grids[0].num_basis
     flat = x.data.reshape(-1)
     values = np.empty((m * d, nb), dtype=np.float32)
     derivs = [] if tape is not None and x.requires_grad else None
     for s in range(0, m * d, BLOCK):
         block = flat[s:s + BLOCK].astype(np.float64)
         if derivs is None:
-            values[s:s + BLOCK] = grid.values(block)
+            _sum_into(values[s:s + BLOCK], (g.values(block) for g in grids))
         else:
-            block_values, block_derivs = grid.values_and_derivs(block)
-            values[s:s + BLOCK] = block_values
+            block_values, block_derivs = zip(*(g.values_and_derivs(block) for g in grids))
+            _sum_into(values[s:s + BLOCK], block_values)
             derivs.append(block_derivs)
     out = Tensor(values.reshape(m, d * nb))
 
@@ -290,7 +297,8 @@ def basis_expand(tape, x: Tensor, grid) -> Tensor:
         dvalues = dout.reshape(m * d, nb)
         dx = np.empty(m * d, dtype=np.float32)
         for s, block_derivs in zip(range(0, m * d, BLOCK), derivs):
-            dx[s:s + BLOCK] = np.einsum("ij,ij->i", dvalues[s:s + BLOCK], block_derivs)
+            rows = dvalues[s:s + BLOCK]
+            _sum_into(dx[s:s + BLOCK], (np.einsum("ij,ij->i", rows, g) for g in block_derivs))
         return (dx.reshape(m, d),)
 
     return _emit(tape, out, (x,), bwd)

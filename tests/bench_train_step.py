@@ -8,12 +8,14 @@ fixed random batches of 64, and one inference forward of a random batch of
 1000. Repeats go round the kinds in turn, so host noise spreads over all of
 them, after one untimed warm-up round. After the timed repeats, one more
 batch-1000 forward per kind runs under tracemalloc, untimed, for the peak of
-the NumPy buffers it allocates.
+the NumPy buffers it allocates, and one batch-64 forward plus loss records
+onto a fresh Tape, for the number of ops a step sweeps.
 
     PYTHONPATH=src python tests/bench_train_step.py [--out BENCH_train_step.json]
 
 Per kind, the median and quartiles over the repeats of the milliseconds per
-step and per forward, and the forward's traced peak MiB, are appended as one
+step and per forward, the forward's traced peak MiB and the tape's node
+count (tape_nodes) are appended as one
 entry, with bench.machine_meta(), the git commit of the measured fckan
 source and a SHA-256 of its files, to the JSON list in --out.
 The file is a trajectory: a run appends and never rewrites.
@@ -33,7 +35,7 @@ import numpy as np
 import fckan
 from fckan.bench import machine_meta
 from fckan.models import MODEL_KINDS
-from fckan.tensor import Tensor
+from fckan.tensor import Tape, Tensor, softmax_cross_entropy
 from fckan.training import train_step
 from golden_trajectory import BATCH, LR, default_model
 
@@ -101,6 +103,13 @@ class Kind:
         finally:
             tracemalloc.stop()
 
+    def tape_nodes(self) -> int:
+        """Nodes of one batch-64 forward plus loss, as train_step records them."""
+        xb, yb = self.batches[0]
+        tape = Tape()
+        softmax_cross_entropy(tape, self.model.forward(Tensor(xb), tape=tape), yb)
+        return len(tape)
+
 
 def summary(times) -> dict:
     q1, median, q3 = np.percentile(times, [25, 50, 75])
@@ -119,7 +128,8 @@ def measure(steps: int, repeats: int) -> dict:
             times[name][0].append(k.step_ms())
             times[name][1].append(k.forward_ms())
     return {name: {"step_ms": summary(s), "forward_ms": summary(f),
-                   "forward_peak_mib": round(kinds[name].forward_peak_mib(), 2)}
+                   "forward_peak_mib": round(kinds[name].forward_peak_mib(), 2),
+                   "tape_nodes": kinds[name].tape_nodes()}
             for name, (s, f) in times.items()}
 
 
@@ -158,7 +168,7 @@ def main(argv=None) -> int:
         s, fw = k["step_ms"], k["forward_ms"]
         print(f"{name:<14} step {s['median']:8.2f} ms [{s['q1']:.2f}, {s['q3']:.2f}]   "
               f"forward {fw['median']:8.2f} ms [{fw['q1']:.2f}, {fw['q3']:.2f}]   "
-              f"peak {k['forward_peak_mib']:7.2f} MiB")
+              f"peak {k['forward_peak_mib']:7.2f} MiB   {k['tape_nodes']:3d} tape nodes")
     print(f"appended entry {len(entries)} to {args.out}")
     return 0
 

@@ -123,6 +123,28 @@ class TestConfig:
         assert np.isfinite(values).all() and np.isfinite(derivs).all()
         assert values[1, 0] == 1.0 and derivs[1, 0] == 0.0
 
+    @pytest.mark.parametrize("family,fields", [
+        (BSplineGrid, {"grid_size": 5, "spline_order": 3, "lo": -1e308, "hi": 1e308}),
+        (RBFGrid, {"grid_size": 8, "lo": -1e308, "hi": 1e308}),
+        (BSplineGrid, {"grid_size": 5, "spline_order": 3, "lo": -1e308, "hi": 7e307}),
+        (RBFGrid, {"grid_size": 8, "lo": 0.0, "hi": 1.7e308}),
+    ], ids=["bspline-width", "rbf-width", "bspline-outer-knots", "rbf-bandwidth-squared"])
+    def test_range_without_finite_width_knots_or_bandwidth_rejected(self, family, fields):
+        # a NumPy overflow warning would be an error here, not a BasisConfigError
+        with pytest.raises(BasisConfigError):
+            family(**fields)
+        with pytest.raises(BasisConfigError):
+            family(**{**fields, "lo": np.float64(fields["lo"]), "hi": np.float64(fields["hi"])})
+        with pytest.raises(BasisConfigError):
+            grid_from_record({"name": family.name, **fields})
+
+    def test_widest_accepted_ranges_evaluate(self):
+        # accepted though wide: knots out to +-1.1e308, a bandwidth squared of 1.3e308
+        x = np.array([0.0, 3.4e38, -3.4e38, np.inf, -np.inf, np.nan])
+        for grid in [BSplineGrid(5, 3, -5e307, 5e307), RBFGrid(8, -4e154, 4e154)]:
+            values, derivs = grid.values_and_derivs(x)
+            assert np.isfinite(values[:3]).all() and np.isfinite(derivs[:3]).all()
+
     def test_frozen_and_rbf_has_no_order(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             BSplineGrid().grid_size = 3

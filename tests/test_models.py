@@ -1,13 +1,15 @@
+import json
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fckan.basis import BSplineGrid, RBFGrid, grid_record
+from fckan import models
+from fckan.basis import BasisConfigError, BSplineGrid, RBFGrid, grid_record
 from fckan.models import (
     MODEL_KINDS,
     CheckpointError,
@@ -24,7 +26,7 @@ from fckan.models import (
     load_model,
     save_model,
 )
-from fckan.tensor import Tape, Tensor, softmax_cross_entropy
+from fckan.tensor import Tape, Tensor, basis_expand, softmax_cross_entropy
 from gradcheck import check_grads, check_model_grads, check_model_grads_scaled
 
 RNG = np.random.default_rng(0)
@@ -93,6 +95,28 @@ class TestConfig:
             ModelConfig(kind="mlp", spline=BSplineGrid())
         with pytest.raises(ConfigError, match="takes no grid"):
             ModelConfig(kind="fc-kan", functions=("sin",), spline=RBFGrid())
+
+    def test_grids_are_derived_not_fields(self):
+        assert toy_config("mlp").grids == ()
+        assert toy_config("fast-kan").grids == (RBFGrid(),)
+        narrow = BSplineGrid(3, 2, -0.5, 0.5)
+        cfg = toy_config("bsrbf-kan", spline=narrow)
+        assert cfg.grids == (narrow, RBFGrid(5, -0.5, 0.5))
+        assert "grids" not in {f.name for f in fields(ModelConfig)}
+        assert "grids" not in cfg.to_dict()
+        assert ModelConfig.from_dict(cfg.to_dict()).grids == cfg.grids
+
+    def test_bsrbf_kan_companion_rbf_grid_checked_with_the_config(self, tmp_path):
+        # a valid B-spline grid whose companion RBF bandwidth squared underflows
+        narrow = BSplineGrid(5, 3, 0.0, 1e-300)
+        with pytest.raises(BasisConfigError, match="rbf bandwidth"):
+            ModelConfig(kind="bsrbf-kan", spline=narrow)
+        blob = json.dumps({**toy_config("bsrbf-kan").to_dict(),
+                           "spline": grid_record(narrow)}).encode()
+        path = tmp_path / "model.fckn"
+        path.write_bytes(b"FCKN" + struct.pack("<II", 1, len(blob)) + blob)
+        with pytest.raises(CheckpointError, match="rbf bandwidth"):
+            load_model(path)
 
     @pytest.mark.parametrize("seed", ["x", 1.5, -1, True, None])
     def test_seed_must_be_a_non_negative_int(self, seed):
@@ -318,6 +342,31 @@ class TestSplineForward:
         for layer in model.layers:
             h = matmul(None, silu(None, h), layer["base_weight"])
         assert np.allclose(base_only, h.data, atol=1e-6)
+
+    def test_one_basis_expand_per_layer(self, monkeypatch):
+        made = []
+
+        def recorded(tape, x, *grids):
+            out = basis_expand(tape, x, *grids)
+            made.append((out, grids))
+            return out
+
+        monkeypatch.setattr(models, "basis_expand", recorded)
+        model = build_model(toy_config("bsrbf-kan"))
+        tape = Tape()
+        model.forward(Tensor(X16), tape)
+        assert [grids for _, grids in made] == [model.config.grids] * len(model.layers)
+        assert all(tape._nodes[out.node_id].output is out for out, _ in made)
+
+    # nodes one forward records: fc-kan is the paper's, four functions by product
+    TAPE_NODES = {"mlp": 5, "fc-kan": 24, "efficient-kan": 14, "fast-kan": 12, "bsrbf-kan": 12}
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_tape_nodes_per_forward(self, kind):
+        kw = {"functions": FOUR_FNS, "combine": "product"} if kind == "fc-kan" else {}
+        tape = Tape()
+        build_model(toy_config(kind, **kw)).forward(Tensor(X16), tape)
+        assert len(tape) == self.TAPE_NODES[kind]
 
     def test_batch_1000_inference_peak_memory(self):
         # tracemalloc sees NumPy's buffers. basis_expand's float32 output is

@@ -218,16 +218,28 @@ class TestSilu:
         check_grads(lambda t: weighted_sum(t, silu(t, x), r), [x])
 
 
+def _grids(entry):
+    """The grids of a TestBasisExpand.GRIDS entry: one grid or a tuple of them."""
+    return entry if isinstance(entry, tuple) else (entry,)
+
+
+def _grids_id(entry):
+    return "+".join(g.name for g in _grids(entry))
+
+
 class TestBasisExpand:
-    """basis_expand evaluates its grid over blocks of at most BLOCK inputs and
-    must give the bits of one grid call over all of them. With a tape and an
-    input that requires grad it takes each block's derivatives in the forward
-    pass, from that block's values pass; otherwise it takes none."""
+    """basis_expand evaluates its grids over blocks of at most BLOCK inputs and
+    must give the bits of one call per grid over all of them, joined by
+    elementwise adds. With a tape and an input that requires grad it takes
+    each block's derivatives in the forward pass, from that block's values
+    pass; otherwise it takes none."""
 
     B = 7
     # [m x d] shapes of m*d = 0, 1, B - 1, B, B + 1 and 3B + 2 inputs
     SHAPES = [(0, 3), (1, 1), (2, 3), (7, 1), (2, 4), (2, 11)]
-    GRIDS = [BSplineGrid(), BSplineGrid(3, 1, -0.5, 2.0), RBFGrid()]
+    # single grids, then the pair a bsrbf-kan layer sums
+    GRIDS = [BSplineGrid(), BSplineGrid(3, 1, -0.5, 2.0), RBFGrid(),
+             (BSplineGrid(5, 3, -1.5, 1.5), RBFGrid(8, -1.5, 1.5))]
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -256,60 +268,94 @@ class TestBasisExpand:
         pool = np.concatenate([special, rng.uniform(grid.lo - span, grid.hi + span, m * d)])
         return rng.permutation(pool[:m * d]).astype(np.float32).reshape(m, d)
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @staticmethod
+    def summed(arrays):
+        """The first float32 array plus each later one, as elementwise adds sum them."""
+        total = arrays[0]
+        for a in arrays[1:]:
+            total = total + a
+        return total
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_values_and_dx_equal_one_call_bit_for_bit(self, grid, shape):
+        grids = _grids(grid)
         m, d = shape
-        nb = grid.num_basis
-        x = Tensor(self.inputs(shape, grid), requires_grad=True)
+        nb = grids[0].num_basis
+        x = Tensor(self.inputs(shape, grids[0]), requires_grad=True)
         flat = x.data.ravel().astype(np.float64)
         tape = Tape()
-        out = basis_expand(tape, x, grid)
-        want = grid.values(flat).astype(np.float32).reshape(m, d * nb)
-        assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
+        out = basis_expand(tape, x, *grids)
+        want = self.summed([g.values(flat).astype(np.float32) for g in grids])
+        assert out.shape == (m, d * nb) and out.data.tobytes() == want.tobytes()
 
         r = np.random.default_rng(3).uniform(0.5, 1.5, (m, d * nb)).astype(np.float32)
         tape.backward(weighted_sum(tape, out, r))
-        derivs = grid.values_and_derivs(flat)[1]
-        dx = np.einsum("ij,ij->i", r.reshape(m * d, nb), derivs)
+        derivs = [g.values_and_derivs(flat)[1] for g in grids]
+        dx = [np.einsum("ij,ij->i", r.reshape(m * d, nb), dv).astype(np.float32) for dv in derivs]
         want_grad = np.zeros((m, d), dtype=np.float32)
-        want_grad += dx.astype(np.float32).reshape(m, d)  # as Tensor._accumulate adds it
+        want_grad += self.summed(dx).reshape(m, d)  # as Tensor._accumulate adds it
         assert x.grad.tobytes() == want_grad.tobytes()
         # the same float64 products summed in another order differ by float64
         # rounding only, which is below a float32 step
-        other = (r.reshape(m * d, nb) * derivs).sum(axis=1).astype(np.float32)
+        other = self.summed([(r.reshape(m * d, nb) * dv).sum(axis=1).astype(np.float32)
+                             for dv in derivs])
         np.testing.assert_allclose(x.grad.ravel(), other, rtol=2.0**-23, atol=0, equal_nan=True)
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+        # the path of one single-grid call per grid joined by elementwise adds
+        # on one tape gives the same bits, forward and backward
+        x_old = Tensor(x.data, requires_grad=True)
+        old_tape = Tape()
+        old = basis_expand(old_tape, x_old, grids[0])
+        for g in grids[1:]:
+            old = elementwise(old_tape, "add", old, basis_expand(old_tape, x_old, g))
+        old_tape.backward(weighted_sum(old_tape, old, r))
+        assert out.data.tobytes() == old.data.tobytes()
+        assert x.grad.tobytes() == x_old.grad.tobytes()
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_derivatives_once_per_block_in_the_forward_pass(self, grid, shape, calls):
+        grids = _grids(grid)
         m, d = shape
         blocks = -(-m * d // self.B)
-        x = Tensor(self.inputs(shape, grid), requires_grad=True)
+        x = Tensor(self.inputs(shape, grids[0]), requires_grad=True)
         tape = Tape()
-        out = basis_expand(tape, x, grid)
-        assert calls == ({f"{grid.name}_values": blocks, f"{grid.name}_derivs": blocks}
-                         if blocks else {})
+        out = basis_expand(tape, x, *grids)
+        assert calls == ({f"{g.name}_{part}": blocks for g in grids
+                          for part in ("values", "derivs")} if blocks else {})
         before = dict(calls)
         tape.backward(sum_all(tape, out))
         assert calls == before
         assert x.grad.shape == (m, d)
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
     @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
     def test_no_derivatives_without_a_tape_or_a_grad(self, grid, grad, calls):
-        x = Tensor(self.inputs((2, 11), grid), requires_grad=grad)
+        grids = _grids(grid)
+        x = Tensor(self.inputs((2, 11), grids[0]), requires_grad=grad)
         tape = None if grad else Tape()
-        out = basis_expand(tape, x, grid)
-        assert calls == {f"{grid.name}_values": 4}
-        want = grid.values(x.data.ravel().astype(np.float64)).astype(np.float32)
+        out = basis_expand(tape, x, *grids)
+        assert calls == {f"{g.name}_values": 4 for g in grids}
+        flat = x.data.ravel().astype(np.float64)
+        want = self.summed([g.values(flat).astype(np.float32) for g in grids])
         assert out.data.tobytes() == want.reshape(out.shape).tobytes()
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: g.name)
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
     def test_no_dx_for_an_input_without_grad(self, grid):
+        grids = _grids(grid)
         tape = Tape()
-        out = basis_expand(tape, Tensor(self.inputs((2, 11), grid)), grid)
+        out = basis_expand(tape, Tensor(self.inputs((2, 11), grids[0])), *grids)
         assert tape._nodes[out.node_id].backward_fn(np.ones_like(out.data)) == (None,)
+
+    def test_no_grid_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="one or more grids"):
+            basis_expand(Tape(), Tensor(np.zeros((2, 3)), requires_grad=True))
+
+    def test_grids_of_different_sizes_are_a_shape_error(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeError, match=r"of one size, got sizes \[8, 7\]"):
+            basis_expand(Tape(), x, BSplineGrid(5, 3), RBFGrid(7))
 
 
 class TestBackward:
