@@ -13,6 +13,7 @@ and performs the download separately.
 import gzip
 import math
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,10 @@ def _read_file(path: str) -> bytes:
     with open(path, "rb") as f:
         raw = f.read()
     if path.endswith(".gz"):
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as e:
+            raise IdxFormatError(f"{path} is not a whole gzip file: {e}") from None
     return raw
 
 

@@ -10,8 +10,6 @@ second one: rbf_derivs takes the RBF values, and bspline_derivs the order
 k - 1 bases that bspline_values passed through.
 """
 
-import functools
-
 import numpy as np
 
 _ZERO = np.float32(0.0)
@@ -64,46 +62,29 @@ def unary_derivs(name, x):
     return _unary(name, 1)(x)
 
 
-@functools.lru_cache(maxsize=64)
-def _knot_tables(knot_bytes, order):
-    """The constants of the B-spline kernel for one float64 knot vector and
-    order, built once: the knot vector extended by ``order`` steps past each
-    end, so that every knot the recursion reads exists (the extension only
-    reaches basis indices outside [0, nbasis)), and, for c = 0..order, the
-    output column that the c-th local basis of each knot cell lands in with
-    a mask that is False where that column falls off either end."""
-    knots = np.frombuffer(knot_bytes)
-    ext = np.concatenate([
-        knots[0] - (knots[1] - knots[0]) * np.arange(order, 0, -1),
-        knots,
-        knots[-1] + (knots[-1] - knots[-2]) * np.arange(1, order + 1),
-    ])
-    nbasis = knots.shape[0] - order - 1
-    cells = np.arange(nbasis + order)
-    targets, keeps = [], []
-    for c in range(order + 1):
-        target = cells - order + c
-        keep = (target >= 0) & (target < nbasis)
-        targets.append(np.where(keep, target, 0))
-        keeps.append(keep)
-    return ext, targets, keeps
-
-
-def _local_bases(x, knots, order, ext, lower=None):
+def _local_bases(x, knots, order, lower=None):
     """Knot cell of each x and the order-``order`` B-splines nonzero on it.
 
     Cell j is the half-open interval t_j <= x < t_{j+1}. Returns j and the
     list b with b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell
     (outside the knot span, NaN, +-inf) is given cell 0 and all-zero values.
-    ``ext`` is the extended knot vector of _knot_tables. Given a list
-    ``lower`` and order >= 1, the pass also puts in it j, the knots t around
-    each cell and the order - 1 bases, taken on the way to order ``order``.
+    Given a list ``lower`` and order >= 1, the pass also puts in it j, the
+    knots t around each cell and the order - 1 bases, taken on the way to
+    order ``order``.
     """
     last = knots.shape[0] - 2
     j = np.searchsorted(knots, x, side="right") - 1
     inside = (j >= 0) & (j <= last)
     j[~inside] = 0
     x = np.where(inside, x, knots[0])
+    # the knots extended by ``order`` steps past each end, so that every knot
+    # the recursion reads exists; the extension only reaches basis indices
+    # outside [0, nbasis)
+    ext = np.concatenate([
+        knots[0] - (knots[1] - knots[0]) * np.arange(order, 0, -1),
+        knots,
+        knots[-1] + (knots[-1] - knots[-2]) * np.arange(1, order + 1),
+    ])
     # row i of t is t_{j+i+1-order}, for the knots t_{j+1-order}..t_{j+order}
     t = ext[np.arange(1, 2 * order + 1)[:, None] + j]
     below = x - t[:order]  # row i: x - t_{j+i+1-order}
@@ -124,23 +105,20 @@ def _local_bases(x, knots, order, ext, lower=None):
     return j, b
 
 
-def _scatter(cols, j, nbasis, targets, keeps):
+def _scatter(cols, j, nbasis, order):
     """Dense float64 [n, nbasis] rows holding cols[c] at column j - order + c.
 
-    Entries whose column falls off either end are written to column 0 as
-    zeros. Off the left end that write comes before the row's own column-0
-    entry, which has a larger c; a row that runs off the right end has no
-    column-0 entry, because nbasis > order, and keeps the zero of its last
-    column, cols[-1] * 0. That is +0.0 as long as cols[-1] is not negative,
-    which holds for B-spline values and for bspline_derivs' last column.
+    The rows are a view of a zeroed [n, nbasis + 2 order] buffer in which
+    cols[c] is written at column j + c, so entries whose column falls off
+    either end land in the padding.
     """
     n = j.shape[0]
-    out = np.zeros((n, nbasis))
+    out = np.zeros((n, nbasis + 2 * order))
+    at = np.arange(n) * out.shape[1] + j
     flat = out.reshape(-1)
-    rows = np.arange(n) * nbasis
-    for col, target, keep in zip(cols, targets, keeps):
-        flat[rows + target[j]] = col * keep[j]
-    return out
+    for c, col in enumerate(cols):
+        flat[at + c] = col
+    return out[:, order:order + nbasis]
 
 
 def bspline_values(x, knots, order, lower=None):
@@ -156,9 +134,8 @@ def bspline_values(x, knots, order, lower=None):
     bspline_derivs takes to give the derivatives at the same x.
     """
     nbasis = knots.shape[0] - order - 1
-    ext, targets, keeps = _knot_tables(knots.tobytes(), order)
-    j, b = _local_bases(x, knots, order, ext, lower)
-    out = _scatter(b, j, nbasis, targets, keeps)
+    j, b = _local_bases(x, knots, order, lower)
+    out = _scatter(b, j, nbasis, order)
     if order >= 1:
         out[~np.isfinite(x)] = np.nan
     return out
@@ -177,17 +154,16 @@ def bspline_derivs(x, knots, order, lower):
     if order == 0:
         return np.zeros((x.shape[0], nbasis), dtype=np.float64)
     j, t, bases = lower
-    _, targets, keeps = _knot_tables(knots.tobytes(), order)
     # q = N_i^{k-1} / (t_{i+k} - t_i) for i = j - k + 1 + c, so column c of
     # the local derivatives, N_{j-k+c}^k', is k * (q[c - 1] - q[c]) with
-    # q[-1] = q[k] = 0, and the last one is k * q[k - 1] >= 0
+    # q[-1] = q[k] = 0
     cols, prev = [], 0.0
     for c, b in enumerate(bases):
         q = b / (t[c + order] - t[c])
         cols.append(order * (prev - q))
         prev = q
     cols.append(order * (prev - 0.0))
-    out = _scatter(cols, j, nbasis, targets, keeps)
+    out = _scatter(cols, j, nbasis, order)
     if order >= 2:
         out[~np.isfinite(x)] = np.nan
     return out

@@ -1,3 +1,4 @@
+import gzip
 import os
 import struct
 
@@ -75,6 +76,19 @@ def label_fixture(labels):
 def image_fixture(images):
     n, r, c = images.shape
     return struct.pack(">IIII", 0x00000803, n, r, c) + images.tobytes()
+
+
+def write_damaged_layout(root, how):
+    """The four mnist files under root, empty but for train images, a .gz of a
+    small image fixture damaged ``how``: truncated mid-stream, with a bad
+    magic or with corrupt deflate data. Returns that file's path."""
+    gz = gzip.compress(image_fixture(np.zeros((3, 28, 28), dtype=np.uint8)))
+    bad = root / "train-images-idx3-ubyte.gz"
+    bad.write_bytes({"truncated": gz[:len(gz) // 2], "header": b"XX" + gz[2:],
+                     "deflate": gz[:10] + b"\xff" * 8 + gz[18:]}[how])
+    for stem in ("train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+        (root / stem).write_bytes(b"")
+    return bad
 
 
 @pytest.fixture(scope="session")

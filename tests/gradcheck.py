@@ -37,6 +37,15 @@ def fd_at(loss_fn, tensor, flat_indices, eps=1e-3):
     return fd
 
 
+def richardson_at(loss_fn, tensor, flat_indices, eps):
+    """Fourth-order estimate (4 fd(eps) - fd(2 eps)) / 3 from the central
+    differences of fd_at, whose eps^2 truncation terms cancel; on a strongly
+    curved loss, float32 central differences at eps alone can miss by more
+    than a whole tolerance."""
+    fd = fd_at(loss_fn, tensor, flat_indices, eps)
+    return (4.0 * fd - fd_at(loss_fn, tensor, flat_indices, 2.0 * eps)) / 3.0
+
+
 def analytic_grads(loss_builder, tensors):
     """Backward once through loss_builder(tape); returns grads per tensor."""
     for t in tensors:
@@ -126,11 +135,12 @@ def check_model_grads_scaled(model, X, y, rng, sample=16,
 
     Up to ``sample`` elements of each parameter, drawn with rng, must satisfy
     |g - fd| <= rtol * |fd| + gtol * G, where G is the largest analytic
-    gradient element of the whole model, at one step of the ladder per
-    parameter. The G term forgives gradients too small for float32
-    differences to resolve, such as those upstream of a narrow layer norm,
-    whose output barely depends on its input. Sampling keeps a random model
-    to a few hundred forward passes instead of several thousand.
+    gradient element of the whole model and fd the fourth-order estimate of
+    richardson_at, at one step of the ladder per parameter. The G term
+    forgives gradients too small for float32 differences to resolve, such as
+    those upstream of a narrow layer norm, whose output barely depends on its
+    input. Sampling keeps a random model to several hundred forward passes
+    instead of many thousand.
     """
     loss_builder = _model_loss(model, X, y)
     grads = analytic_grads(loss_builder, [p.tensor for p in model.params])
@@ -140,7 +150,7 @@ def check_model_grads_scaled(model, X, y, rng, sample=16,
         g = g.ravel()[idx].astype(np.float64)
         worst = np.inf
         for eps in eps_ladder:
-            fd = fd_at(lambda: loss_builder(None).item(), p.tensor, idx, eps)
+            fd = richardson_at(lambda: loss_builder(None).item(), p.tensor, idx, eps)
             worst = min(worst, float(np.max(np.abs(g - fd) - rtol * np.abs(fd))))
             if worst <= gtol * scale:
                 break

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import require_dataset
+from conftest import require_dataset, write_damaged_layout
 from fckan.cli import main
 from fckan.models import ModelConfig
 from fckan.report import make_record, write_record
@@ -276,6 +276,12 @@ class TestTrainCommand:
                    "--data-dir", str(tmp_path), "--quiet"])
         assert rc == 1
         assert "fetch-data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["truncated", "header", "deflate"])
+    def test_damaged_gz_is_a_typed_error(self, tmp_path, capsys, how):
+        bad = write_damaged_layout(tmp_path, how)
+        assert main(["train", "--model", "mlp", "--data-dir", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad} is not a whole gzip file: ")
 
     def test_data_dir_defaults_to_the_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FCKAN_DATA_DIR", str(tmp_path / "from-env"))

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import image_fixture, label_fixture, require_dataset, synthetic_split, take_subset
+from conftest import (
+    image_fixture,
+    label_fixture,
+    require_dataset,
+    synthetic_split,
+    take_subset,
+    write_damaged_layout,
+)
 from fckan.data import (
     DataError,
     IdxFormatError,
@@ -135,6 +143,12 @@ class TestLoaders:
         (sub / "t10k-labels-idx1-ubyte").write_bytes(label_fixture([1, 2, 3]))
         with pytest.raises(DataError, match="fashion-mnist/train: 3 images vs 2 labels"):
             load_dataset("fashion-mnist", str(tmp_path))
+
+    @pytest.mark.parametrize("how", ["truncated", "header", "deflate"])
+    def test_damaged_gz_is_an_idx_format_error_naming_the_file(self, tmp_path, how):
+        bad = write_damaged_layout(tmp_path, how)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{bad} is not a whole gzip file: ")):
+            load_dataset("mnist", str(tmp_path))
 
 
 class TestRealDatasets:
