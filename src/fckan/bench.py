@@ -67,7 +67,8 @@ def bench_function(name: str, n: int, repeats: int) -> BenchResult:
         std_us=float(times.std(ddof=1)),
         repeats=repeats,
         n=n,
-        checksum=float(np.asarray(out, dtype=np.float64).sum()),
+        # summed in row order: the RBF kernel returns a transposed view
+        checksum=float(np.ascontiguousarray(out, dtype=np.float64).sum()),
     )
 
 

@@ -111,20 +111,29 @@ def dataset_dir(name: str, root: str) -> str:
     )
 
 
+def _read_idx(path: str, rank: int, what: str):
+    """(dims, payload) of the rank-``rank`` IDX file at path; every format
+    error names the file."""
+    raw = _read_file(path)
+    try:
+        dims, payload = parse_idx(raw)
+    except IdxFormatError as e:
+        raise IdxFormatError(f"{path}: {e}") from None
+    if len(dims) != rank:
+        raise IdxFormatError(f"{path}: expected {what} file, got dims {dims}")
+    return dims, payload
+
+
 def load_images(path: str) -> np.ndarray:
     """Images from an IDX file, flattened row-major and scaled by 1/255."""
-    dims, payload = parse_idx(_read_file(path))
-    if len(dims) != 3:
-        raise IdxFormatError(f"expected 3-D image file, got dims {dims}")
+    dims, payload = _read_idx(path, 3, "3-D image")
     n = dims[0]
     return (payload.reshape(n, dims[1] * dims[2]).astype(np.float32)) / np.float32(255)
 
 
 def load_labels(path: str) -> np.ndarray:
     """Labels from an IDX file as int64."""
-    dims, payload = parse_idx(_read_file(path))
-    if len(dims) != 1:
-        raise IdxFormatError(f"expected 1-D label file, got dims {dims}")
+    dims, payload = _read_idx(path, 1, "1-D label")
     return payload.astype(np.int64)
 
 

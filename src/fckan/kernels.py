@@ -170,23 +170,33 @@ def bspline_derivs(x, knots, order, lower):
 
 
 def _rbf_offsets(x, centers, h):
-    # x - c for every center, with x clipped to 64 bandwidths beyond the
-    # outer centers: every value there is exactly 0 already (exp(-64^2)
-    # underflows), and neither z * z nor -2 d / h^2 can overflow, even at
-    # +-inf; NaN stays NaN
+    # x - c as one row per center, [nb, n], with x clipped to 64 bandwidths
+    # beyond the outer centers: every value there is exactly 0 already
+    # (exp(-64^2) underflows), and neither z * z nor -2 d / h^2 can overflow,
+    # even at +-inf; NaN stays NaN
     x = np.clip(x, centers[0] - 64 * h, centers[-1] + 64 * h)
-    return x[:, None] - centers[None, :]
+    return x[None, :] - centers[:, None]
 
 
 def rbf_values(x, centers, h):
-    """Gaussian RBF values exp(-((x - c) / h)^2) for every center. Rows of x
-    far outside the centers, +-inf included, are 0; rows of NaN x are NaN."""
-    z = _rbf_offsets(x, centers, h) / h
-    return np.exp(-z * z)
+    """Gaussian RBF values exp(-((x - c) / h)^2) for every center, [n, nb].
+    Rows of x far outside the centers, +-inf included, are 0; rows of NaN x
+    are NaN. The result is the transposed view of a basis-major array that
+    the steps run over in place."""
+    z = _rbf_offsets(x, centers, h)
+    z /= h
+    z *= z
+    np.negative(z, out=z)
+    return np.exp(z, out=z).T
 
 
 def rbf_derivs(x, centers, h, values):
     """d/dx of each Gaussian RBF component at x, -2 (x - c) / h^2 times its
-    ``values`` from rbf_values(x, centers, h). Rows of x far outside the
-    centers, +-inf included, are 0; rows of NaN x are NaN."""
-    return -2.0 * _rbf_offsets(x, centers, h) / (h * h) * values
+    ``values`` from rbf_values(x, centers, h), [n, nb] as the values are.
+    Rows of x far outside the centers, +-inf included, are 0; rows of NaN x
+    are NaN."""
+    d = _rbf_offsets(x, centers, h)
+    d *= -2.0
+    d /= h * h
+    d *= values.T
+    return d.T

@@ -25,6 +25,8 @@ BLOCK = 1 << 16
 # layer_norm's variance guard, in the float32 its rows are normalised in
 LN_EPS = np.float32(1e-5)
 
+_ZERO = np.float32(0.0)
+
 
 class ShapeError(ValueError):
     """Operand shapes do not satisfy the operation's contract."""
@@ -74,8 +76,12 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the bits of zeros + g in one pass, into a new array: g may be
+            # another tensor's gradient (an elementwise add hands its output
+            # gradient to both inputs)
+            self.grad = np.add(g, _ZERO, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"

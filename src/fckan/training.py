@@ -34,6 +34,10 @@ _TRAIN_RULES = (
 # AdamW's moment decay rates and denominator guard: one protocol for every model
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+# Elements per AdamW update chunk: its two scratch buffers of float32 take
+# 512 KiB, inside the L2 cache, where whole-array temporaries do not fit
+CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -93,17 +97,33 @@ def adamw_step(theta, grad, m, v, t, lr, weight_decay=0.0):
     1-based step count.
 
     Weight decay is decoupled: theta shrinks by lr * wd * theta before the
-    bias-corrected Adam step. Arithmetic follows the array dtype.
+    bias-corrected Adam step. Arithmetic follows the array dtype. The four
+    arrays must be C-contiguous and share one shape and dtype; they are
+    updated in chunks of CHUNK elements, through two scratch buffers that
+    stay in cache, with the bits of one whole-array pass per expression.
     """
-    if weight_decay:
-        theta *= 1.0 - lr * weight_decay
-    m *= BETA1
-    m += (1.0 - BETA1) * grad
-    v *= BETA2
-    v += (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    arrays = (theta, grad, m, v)
+    if not all(a.flags.c_contiguous and a.shape == theta.shape and a.dtype == theta.dtype
+               for a in arrays):
+        raise ValueError("adamw_step needs C-contiguous arrays of one shape and dtype, got "
+                         f"{[(a.shape, str(a.dtype), a.flags.c_contiguous) for a in arrays]}")
+    theta, grad, m, v = (a.reshape(-1) for a in arrays)  # views, as each is C-contiguous
+    scratch = np.empty((2, min(theta.size, CHUNK)), dtype=theta.dtype)
+    for s in range(0, theta.size, CHUNK):
+        th, g, mc, vc = (a[s:s + CHUNK] for a in (theta, grad, m, v))
+        step, denom = scratch[:, :th.size]
+        if weight_decay:
+            th *= 1.0 - lr * weight_decay
+        mc *= BETA1
+        mc += np.multiply(1.0 - BETA1, g, out=step)
+        vc *= BETA2
+        np.multiply(1.0 - BETA2, g, out=step)
+        vc += np.multiply(step, g, out=step)
+        np.divide(mc, 1.0 - BETA1**t, out=step)  # m_hat
+        np.divide(vc, 1.0 - BETA2**t, out=denom)  # v_hat
+        np.add(np.sqrt(denom, out=denom), ADAM_EPS, out=denom)
+        np.multiply(lr, step, out=step)
+        th -= np.divide(step, denom, out=step)
 
 
 class AdamW:

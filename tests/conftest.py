@@ -91,6 +91,28 @@ def write_damaged_layout(root, how):
     return bad
 
 
+# damaged plain IDX files, (file broken, how): the train split's, which
+# load_dataset reads before it checks a split's size
+BROKEN_PLAIN = [("train-images-idx3-ubyte", "empty"), ("train-labels-idx1-ubyte", "magic"),
+                ("train-images-idx3-ubyte", "truncated"), ("train-labels-idx1-ubyte", "rank")]
+
+
+def write_broken_plain_layout(root, stem, how):
+    """The four mnist files under root as small plain fixtures, the one of
+    ``stem`` broken ``how``: empty, with a bad magic, with its payload one
+    byte short, or holding an array of the other rank. Returns its path."""
+    images = image_fixture(np.zeros((3, 28, 28), dtype=np.uint8))
+    labels = label_fixture([1, 2, 3])
+    for image_stem, label_stem in SPLIT_FILES.values():
+        (root / image_stem).write_bytes(images)
+        (root / label_stem).write_bytes(labels)
+    bad = root / stem
+    good, other = (images, labels) if "images" in stem else (labels, images)
+    bad.write_bytes({"empty": b"", "magic": b"\0\0\0\0" + good[4:], "truncated": good[:-1],
+                     "rank": other}[how])
+    return bad
+
+
 @pytest.fixture(scope="session")
 def random_mnist_dir(tmp_path_factory):
     """A data dir holding mnist in the official layout, filled with random

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fckan
@@ -36,6 +37,15 @@ def test_grid_kinds_checksum_covers_full_basis_vector():
     r = bench_function("bspline", n=2_000, repeats=3)
     # partition of unity: summing all G+k values per input gives ~n
     assert r.checksum == pytest.approx(2_000, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["bspline", "rbf"])
+def test_grid_kinds_checksum_sums_the_values_in_row_order(name):
+    # whatever the layout a kernel returns, the checksum keeps the bits of a
+    # row-major [n, nb] sum
+    x = np.random.default_rng(0).uniform(*KINDS[name].bench, size=2_000)
+    values = np.array(KINDS[name].grid().values(x), order="C")
+    assert bench_function(name, n=2_000, repeats=3).checksum == float(values.sum())
 
 
 def test_input_contracts():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import require_dataset, write_damaged_layout
+from conftest import BROKEN_PLAIN, require_dataset, write_broken_plain_layout, write_damaged_layout
 from fckan.cli import main
 from fckan.models import ModelConfig
 from fckan.report import make_record, write_record
@@ -282,6 +282,12 @@ class TestTrainCommand:
         bad = write_damaged_layout(tmp_path, how)
         assert main(["train", "--model", "mlp", "--data-dir", str(tmp_path), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad} is not a whole gzip file: ")
+
+    @pytest.mark.parametrize("stem,how", BROKEN_PLAIN)
+    def test_broken_plain_file_is_a_typed_error_naming_it(self, tmp_path, capsys, stem, how):
+        bad = write_broken_plain_layout(tmp_path, stem, how)
+        assert main(["train", "--model", "mlp", "--data-dir", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_data_dir_defaults_to_the_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FCKAN_DATA_DIR", str(tmp_path / "from-env"))

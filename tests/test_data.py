@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    BROKEN_PLAIN,
     image_fixture,
     label_fixture,
     require_dataset,
     synthetic_split,
     take_subset,
+    write_broken_plain_layout,
     write_damaged_layout,
 )
 from fckan.data import (
@@ -148,6 +150,12 @@ class TestLoaders:
     def test_damaged_gz_is_an_idx_format_error_naming_the_file(self, tmp_path, how):
         bad = write_damaged_layout(tmp_path, how)
         with pytest.raises(IdxFormatError, match=re.escape(f"{bad} is not a whole gzip file: ")):
+            load_dataset("mnist", str(tmp_path))
+
+    @pytest.mark.parametrize("stem,how", BROKEN_PLAIN)
+    def test_broken_plain_file_is_an_idx_format_error_naming_the_file(self, tmp_path, stem, how):
+        bad = write_broken_plain_layout(tmp_path, stem, how)
+        with pytest.raises(IdxFormatError, match=re.escape(f"{bad}: ")):
             load_dataset("mnist", str(tmp_path))
 
 

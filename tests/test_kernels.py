@@ -107,13 +107,23 @@ def test_bspline_derivs_do_not_call_the_public_values_kernel(monkeypatch):
 
 def test_rbf_derivs_from_values_keep_the_bits_of_the_formula():
     grid = RBFGrid()
+    c, h = grid.centers, grid.bandwidth
     x = np.random.default_rng(4).uniform(-30.0, 30.0, 2000)
-    d = x[:, None] - grid.centers[None, :]
-    z = d / grid.bandwidth
-    want = -2.0 * d / (grid.bandwidth * grid.bandwidth) * np.exp(-z * z)
-    values = kernels.rbf_values(x, grid.centers, grid.bandwidth)
-    got = kernels.rbf_derivs(x, grid.centers, grid.bandwidth, values)
-    assert got.tobytes() == want.tobytes()
+    x[:5] = [np.nan, np.inf, -np.inf, 1e300, -1e300]
+    # the formula at x clipped to 64 bandwidths beyond the outer centers, as
+    # the kernels document, one row per input
+    d = np.clip(x, c[0] - 64 * h, c[-1] + 64 * h)[:, None] - c[None, :]
+    z = d / h
+    want_values = np.exp(-z * z)
+    want = -2.0 * d / (h * h) * want_values
+    values = kernels.rbf_values(x, c, h)
+    got = kernels.rbf_derivs(x, c, h, values)
+    assert values.shape == got.shape == (2000, c.shape[0])
+    assert values.dtype == got.dtype == np.float64
+    assert values.tobytes() == want_values.tobytes() and got.tobytes() == want.tobytes()
+    assert np.isnan(values[0]).all() and not values[1:5].any() and not got[1:5].any()
+    one = kernels.rbf_values(x[5:6], c, h)
+    assert one.shape == kernels.rbf_derivs(x[5:6], c, h, one).shape == (1, c.shape[0])
 
 
 @pytest.mark.parametrize("grid", [RBFGrid(), RBFGrid(5, 10.0, 10.5)], ids=["default", "narrow"])

@@ -378,6 +378,33 @@ class TestBackward:
         tape.backward(loss)
         assert x.grad.tolist() == [[2.0, 2.0, 2.0]]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_gradient_keeps_the_bits_of_zeros_plus_g(self, dtype):
+        # -0.0 becomes +0.0, as 0 + -0.0 does; a float64 g rounds to float32
+        # after the add, so a negative below float32's range is -0.0
+        g = np.array([[-0.0, 1.0 / 3.0, -1e-50, np.nan, -np.inf, 1e-30]], dtype=dtype)
+        want = np.zeros(g.shape, dtype=np.float32)
+        want += g
+        x = Tensor(np.ones(g.shape))
+        x._accumulate(g)
+        assert x.grad.dtype == np.float32 and x.grad.flags.c_contiguous
+        assert x.grad.tobytes() == want.tobytes()
+        assert not np.signbit(x.grad[0, 0])
+        assert np.signbit(x.grad[0, 2]) == (dtype is np.float64)
+
+    def test_first_gradient_is_a_new_array(self):
+        # an elementwise add hands its output gradient to both inputs; the
+        # first input's gradient must not be that array, or the second
+        # accumulation would add into the output's gradient too
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        tape = Tape()
+        y = elementwise(tape, "add", a, b)
+        tape.backward(sum_all(tape, elementwise(tape, "add", y, a)))
+        assert a.grad is not y.grad and b.grad is not y.grad
+        assert a.grad.tolist() == [[2.0, 2.0]] and b.grad.tolist() == [[1.0, 1.0]]
+        assert y.grad.tolist() == [[1.0, 1.0]]
+
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         tape = Tape()

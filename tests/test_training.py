@@ -8,6 +8,10 @@ from conftest import synthetic_split
 from fckan.data import DataError, batch_iter
 from fckan.models import ModelConfig, build_model
 from fckan.training import (
+    ADAM_EPS,
+    BETA1,
+    BETA2,
+    CHUNK,
     AdamW,
     TrainConfig,
     TrainingDiverged,
@@ -72,6 +76,56 @@ class TestAdamW:
         for t in range(1, 11):
             adamw_step(theta, theta.copy(), ms, vs, t, lr, weight_decay=0.0)
             assert theta[0] == pytest.approx(trace[t - 1], abs=1e-7)
+
+    @staticmethod
+    def whole_array_step(theta, grad, m, v, t, lr, weight_decay=0.0):
+        """The oracle: one AdamW update as whole-array expressions."""
+        if weight_decay:
+            theta *= 1.0 - lr * weight_decay
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1,), (CHUNK - 1,), (CHUNK,), (CHUNK + 1,),
+                                       (3 * CHUNK + 5,), (64, CHUNK // 64 + 3)], ids=str)
+    def test_chunked_steps_keep_the_bits_of_whole_array_steps(self, shape, dtype, weight_decay):
+        rng = np.random.default_rng(sum(shape))
+        theta = rng.standard_normal(shape).astype(dtype)
+        # (theta, m, v) updated by adamw_step and by the oracle
+        ours, oracle = ([theta.copy(), np.zeros_like(theta), np.zeros_like(theta)]
+                        for _ in range(2))
+        for t in range(1, 6):
+            # gradients over many magnitudes, and some exact zeros
+            grad = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 3, shape)).astype(dtype)
+            grad[rng.random(shape) < 0.05] = 0.0
+            adamw_step(ours[0], grad, ours[1], ours[2], t, 1e-3, weight_decay)
+            self.whole_array_step(oracle[0], grad, oracle[1], oracle[2], t, 1e-3, weight_decay)
+            for got, want in zip(ours, oracle):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        assert not np.array_equal(ours[0], theta)
+
+    @pytest.mark.parametrize("bad", ["strided", "fortran", "dtype", "shape"])
+    def test_arrays_it_cannot_update_in_place_bit_for_bit_raise(self, bad):
+        theta, grad, m, v = (np.ones((4, 6), dtype=np.float32) for _ in range(4))
+        before = theta.copy()
+        if bad == "strided":
+            theta = np.ones((4, 12), dtype=np.float32)[:, ::2]
+            before = theta.copy()
+        elif bad == "fortran":
+            m = np.asfortranarray(m)
+        elif bad == "dtype":
+            grad = grad.astype(np.float64)
+        else:
+            v = v.reshape(6, 4)
+        with pytest.raises(ValueError, match="C-contiguous arrays of one shape and dtype"):
+            adamw_step(theta, grad, m, v, t=1, lr=1e-3)
+        assert np.array_equal(theta, before)
 
     def test_non_finite_gradient_names_parameter(self):
         model = build_model(ModelConfig(kind="mlp", widths=(4, 3, 2)))
