@@ -93,11 +93,13 @@ def cmd_train(args, parser) -> int:
                                    if hasattr(args, f.name)})
     except ValueError as e:
         parser.error(str(e))
+    t0 = time.perf_counter()
     splits = load_dataset(train_cfg.dataset, args.data_dir)
+    load_seconds = time.perf_counter() - t0
     log = None if args.quiet else print
     started = time.time()
     runs = run_experiment(model_cfg, train_cfg, splits=splits, log=log)
-    record = make_record(model_cfg, train_cfg, runs, started, time.time())
+    record = make_record(model_cfg, train_cfg, runs, started, time.time(), load_seconds)
     write_record(record, args.out)
     agg = record["aggregate"]
     va, f1 = agg["val_acc"], agg["f1"]

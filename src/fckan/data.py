@@ -3,16 +3,20 @@
 The IDX container is big-endian: a u32 magic whose final byte is the rank
 (0x00000801 for 1-D u8 labels, 0x00000803 for 3-D u8 images), then rank u32
 dimensions, then the raw unsigned bytes. Files ending in .gz are inflated
-transparently. Pixels are scaled to [0, 1] by dividing by 255; no mean/std
-standardization (the models layer-normalize their input anyway).
+transparently. A file streams in CHUNK-byte pieces straight into the arrays
+of its split, so no copy of the whole file is ever held. Pixels are scaled
+to [0, 1] by dividing by 255; no mean/std standardization (the models
+layer-normalize their input anyway).
 
 Loading never touches the network; the CLI's fetch-data subcommand documents
 and performs the download separately.
 """
 
 import gzip
+import io
 import math
 import os
+import struct
 import zlib
 from dataclasses import dataclass
 
@@ -30,6 +34,9 @@ SPLIT_FILES = {
 }
 
 OFFICIAL_COUNTS = {"train": 60000, "val": 10000}
+
+CHUNK = 1 << 18  # bytes per read of an IDX payload: 256 KiB
+MAX_INFLATE = 1032  # deflate expands its input at most 1032-fold
 
 
 class IdxFormatError(ValueError):
@@ -53,39 +60,65 @@ class DatasetSplit:
         return self.images.shape[0]
 
 
-def parse_idx(buf: bytes):
-    """Decode an IDX buffer into (dims, uint8 payload array of that shape)."""
-    if len(buf) < 4:
+def _read_payload(f, limit: int, dtype, convert):
+    """(dims, payload) of the IDX container in binary file f, the payload an
+    array of dtype shaped dims.
+
+    The payload is allocated once and read in CHUNK-byte pieces through one
+    buffer; ``convert(out, u8)`` writes each piece into its slice. A payload
+    longer than ``limit``, more bytes than f can hold, is only counted. The
+    read past the payload rejects trailing bytes, and makes gzip check its
+    trailer.
+    """
+    magic = f.read(4)
+    if len(magic) < 4:
         raise IdxFormatError("buffer shorter than the 4-byte magic")
-    magic = int.from_bytes(buf[:4], "big")
+    magic = int.from_bytes(magic, "big")
     if magic not in (IMAGE_MAGIC, LABEL_MAGIC):
         raise IdxFormatError(f"bad IDX magic 0x{magic:08x}")
     rank = magic & 0xFF
-    header = 4 + 4 * rank
-    if len(buf) < header:
+    raw = f.read(4 * rank)
+    if len(raw) < 4 * rank:
         raise IdxFormatError("buffer truncated inside the dimension list")
-    dims = [int.from_bytes(buf[4 + 4 * i : 8 + 4 * i], "big") for i in range(rank)]
+    dims = list(struct.unpack(f">{rank}I", raw))
     count = math.prod(dims)
-    payload = buf[header:]
-    if len(payload) != count:
-        raise IdxFormatError(
-            f"payload holds {len(payload)} bytes but dims {dims} need {count}"
-        )
+    out = np.empty(count if count <= limit else 0, dtype=dtype)
+    chunk = np.empty(CHUNK, dtype=np.uint8)
+    held = 0
+    while held < out.size and (n := f.readinto(chunk[: out.size - held])):
+        convert(out[held : held + n], chunk[:n])
+        held += n
+    while n := f.readinto(chunk):
+        held += n
+    if held != count:
+        raise IdxFormatError(f"payload holds {held} bytes but dims {dims} need {count}")
     try:
-        return dims, np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+        return dims, out.reshape(dims)
     except ValueError:  # an empty payload whose nonzero dims overflow NumPy's sizes
         raise IdxFormatError(f"dims {dims} are too large for an array") from None
 
 
-def _read_file(path: str) -> bytes:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if path.endswith(".gz"):
-        try:
-            raw = gzip.decompress(raw)
-        except (gzip.BadGzipFile, EOFError, zlib.error) as e:
-            raise IdxFormatError(f"{path} is not a whole gzip file: {e}") from None
-    return raw
+def parse_idx(buf: bytes):
+    """Decode an IDX buffer into (dims, uint8 payload array of that shape)."""
+    return _read_payload(io.BytesIO(buf), len(buf), np.uint8, np.copyto)
+
+
+def _read_idx(path: str, rank: int, what: str, dtype, convert) -> np.ndarray:
+    """The payload of the rank-``rank`` IDX file at path, gzip-inflated if
+    its name ends in .gz, read by _read_payload; every format error names the
+    file."""
+    gz = path.endswith(".gz")
+    limit = os.path.getsize(path) * (MAX_INFLATE if gz else 1)
+    try:
+        with (gzip.open if gz else open)(path, "rb") as f:
+            dims, payload = _read_payload(f, limit, dtype, convert)
+    except IdxFormatError as e:
+        raise IdxFormatError(f"{path}: {e}") from None
+    except (gzip.BadGzipFile, EOFError, zlib.error) as e:
+        raise IdxFormatError(f"{path} is not a whole gzip file: {e}") from None
+    if len(dims) != rank:
+        raise IdxFormatError(f"{path}: expected {what} file, got dims {dims}")
+    return payload
 
 
 def _path(directory: str, stem: str):
@@ -111,30 +144,21 @@ def dataset_dir(name: str, root: str) -> str:
     )
 
 
-def _read_idx(path: str, rank: int, what: str):
-    """(dims, payload) of the rank-``rank`` IDX file at path; every format
-    error names the file."""
-    raw = _read_file(path)
-    try:
-        dims, payload = parse_idx(raw)
-    except IdxFormatError as e:
-        raise IdxFormatError(f"{path}: {e}") from None
-    if len(dims) != rank:
-        raise IdxFormatError(f"{path}: expected {what} file, got dims {dims}")
-    return dims, payload
+def _scale_pixels(out, u8):
+    # the bits of u8.astype(np.float32) / np.float32(255), in one pass
+    np.divide(u8, np.float32(255), out=out, dtype=np.float32)
 
 
 def load_images(path: str) -> np.ndarray:
     """Images from an IDX file, flattened row-major and scaled by 1/255."""
-    dims, payload = _read_idx(path, 3, "3-D image")
-    n = dims[0]
-    return (payload.reshape(n, dims[1] * dims[2]).astype(np.float32)) / np.float32(255)
+    images = _read_idx(path, 3, "3-D image", np.float32, _scale_pixels)
+    n, rows, cols = images.shape
+    return images.reshape(n, rows * cols)
 
 
 def load_labels(path: str) -> np.ndarray:
     """Labels from an IDX file as int64."""
-    dims, payload = _read_idx(path, 1, "1-D label")
-    return payload.astype(np.int64)
+    return _read_idx(path, 1, "1-D label", np.int64, np.copyto)
 
 
 def load_dataset(name: str, directory: str):

@@ -17,7 +17,8 @@ from .training import TrainConfig, aggregate_runs
 
 RECORD_KEYS = ("model", "train", "runs", "aggregate", "meta")
 
-TIMING_NOTE = "wall_seconds covers the full run including per-epoch validation passes"
+TIMING_NOTE = ("wall_seconds covers the full run including per-epoch validation passes; "
+               "load_seconds, the dataset load before the runs, is outside it")
 
 
 class ReportError(ValueError):
@@ -36,8 +37,9 @@ def model_label(model: dict) -> str:
 
 
 def make_record(model_cfg: ModelConfig, train_cfg: TrainConfig, runs,
-                started: float, finished: float) -> dict:
-    """The record of ``runs``, its aggregate built by aggregate_runs."""
+                started: float, finished: float, load_seconds: float | None = None) -> dict:
+    """The record of ``runs``, its aggregate built by aggregate_runs;
+    ``load_seconds`` is the time taken to load the dataset, None if untimed."""
     return {
         "model": model_cfg.to_dict(),
         "train": train_cfg.to_dict(),
@@ -48,6 +50,7 @@ def make_record(model_cfg: ModelConfig, train_cfg: TrainConfig, runs,
             "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
             "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(finished)),
             "machine": machine_meta(),
+            "load_seconds": load_seconds,
             "timing_note": TIMING_NOTE,
         },
     }

@@ -357,3 +357,13 @@ class TestTrainToRecord:
         again = self.train(random_mnist_dir, tmp_path / "b.json")
         for key in ("train_acc", "val_acc", "f1"):
             assert again["aggregate"][key] == record["aggregate"][key]
+
+    def test_record_times_the_data_load_and_older_records_still_report(
+            self, random_mnist_dir, tmp_path, capsys):
+        record = self.train(random_mnist_dir, tmp_path / "a.json")
+        assert record["meta"]["load_seconds"] > 0
+        del record["meta"]["load_seconds"]  # as written before the load was timed
+        (tmp_path / "old.json").write_text(json.dumps(record))
+        capsys.readouterr()
+        assert main(["report", "--inputs", str(tmp_path / "old.json")]) == 0
+        assert capsys.readouterr().out.splitlines()[2].startswith("| mnist | mlp | ")

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     write_broken_plain_layout,
     write_damaged_layout,
 )
+from fckan import data
 from fckan.data import (
     DataError,
     IdxFormatError,
@@ -27,6 +28,27 @@ from fckan.data import (
     load_labels,
     parse_idx,
 )
+
+
+# arbitrary bytes, or an IDX header of rank 1 or 3 with edge dims and a short payload
+IDX_LIKE_BYTES = st.binary(max_size=64) | st.sampled_from([1, 3]).flatmap(lambda rank: st.builds(
+    lambda dims, payload: (0x800 + rank).to_bytes(4, "big")
+    + b"".join(d.to_bytes(4, "big") for d in dims) + payload,
+    st.lists(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]), min_size=rank, max_size=rank),
+    st.binary(max_size=8),
+))
+
+
+def write_idx(path, raw):
+    """raw at path, gzipped if the name ends in .gz; returns the path as a str."""
+    path.write_bytes(gzip.compress(raw) if path.name.endswith(".gz") else raw)
+    return str(path)
+
+
+def scaled(raw):
+    """The images of an IDX buffer as the whole-buffer decoder scales them."""
+    dims, payload = parse_idx(raw)
+    return payload.reshape(dims[0], dims[1] * dims[2]).astype(np.float32) / np.float32(255)
 
 
 class TestParseIdx:
@@ -69,13 +91,7 @@ class TestParseIdx:
                 parse_idx(struct.pack(">IIII", 0x00000803, *dims))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.binary(max_size=64) | st.sampled_from([1, 3]).flatmap(lambda rank: st.builds(
-        lambda dims, payload: (0x800 + rank).to_bytes(4, "big")
-        + b"".join(d.to_bytes(4, "big") for d in dims) + payload,
-        st.lists(st.sampled_from([0, 1, 2, 3, 2**31, 2**32 - 1]), min_size=rank,
-                 max_size=rank),
-        st.binary(max_size=8),
-    )))
+    @given(IDX_LIKE_BYTES)
     def test_arbitrary_bytes_raise_only_idx_format_error(self, buf):
         try:
             dims, payload = parse_idx(buf)
@@ -157,6 +173,105 @@ class TestLoaders:
         bad = write_broken_plain_layout(tmp_path, stem, how)
         with pytest.raises(IdxFormatError, match=re.escape(f"{bad}: ")):
             load_dataset("mnist", str(tmp_path))
+
+
+class TestStreamingReader:
+    """The loaders stream a file through a CHUNK-byte buffer; these tests pin
+    what they read to what parse_idx makes of the whole inflated buffer."""
+
+    @pytest.mark.parametrize("name", ["idx", "idx.gz"])
+    @pytest.mark.parametrize("chunk", [1, 3, 17])
+    def test_reads_split_anywhere(self, tmp_path, monkeypatch, name, chunk):
+        # four 5x7 images and 40 labels: reads of 1, 3 or 17 bytes end mid-row,
+        # after a header read as its magic, then its dims
+        monkeypatch.setattr(data, "CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        raw = image_fixture(rng.integers(0, 256, (4, 5, 7), dtype=np.uint8))
+        images = load_images(write_idx(tmp_path / ("images-" + name), raw))
+        assert images.tobytes() == scaled(raw).tobytes()
+        labels = rng.integers(0, 10, 40, dtype=np.uint8)
+        loaded = load_labels(write_idx(tmp_path / ("labels-" + name), label_fixture(labels)))
+        assert loaded.dtype == np.int64 and loaded.tolist() == labels.tolist()
+
+    @pytest.mark.parametrize("shape", [(1, 28, 28), (9, 28, 28), (3, 1, 1), (0, 28, 28)])
+    def test_images_bit_identical_to_the_whole_buffer_decode(self, tmp_path, shape):
+        rng = np.random.default_rng(shape)
+        gz = gzip.compress(image_fixture(rng.integers(0, 256, shape, dtype=np.uint8)))
+        p = tmp_path / "images.gz"
+        p.write_bytes(gz)
+        images = load_images(str(p))
+        want = scaled(gzip.decompress(gz))
+        assert images.dtype == np.float32 and images.shape == want.shape
+        assert images.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cut", [6, 100])  # inside the header, inside the payload
+    def test_multi_member_gz(self, tmp_path, monkeypatch, cut):
+        monkeypatch.setattr(data, "CHUNK", 64)
+        raw = image_fixture(np.random.default_rng(cut).integers(0, 256, (2, 28, 28),
+                                                                  dtype=np.uint8))
+        p = tmp_path / "images.gz"
+        p.write_bytes(gzip.compress(raw[:cut]) + gzip.compress(raw[cut:]))
+        assert load_images(str(p)).tobytes() == scaled(raw).tobytes()
+
+    def test_gz_truncated_mid_payload(self, tmp_path):
+        # random pixels barely compress, so three quarters of the file ends mid-payload
+        raw = image_fixture(np.random.default_rng(0).integers(0, 256, (8, 28, 28),
+                                                              dtype=np.uint8))
+        gz = gzip.compress(raw)
+        p = tmp_path / "images.gz"
+        p.write_bytes(gz[: len(gz) * 3 // 4])
+        with pytest.raises(IdxFormatError, match=re.escape(f"{p} is not a whole gzip file: ")):
+            load_images(str(p))
+
+    @pytest.mark.parametrize("where", [-8, -4])  # the CRC32, the length mod 2^32
+    def test_gz_trailer_is_checked(self, tmp_path, where):
+        gz = bytearray(gzip.compress(label_fixture([1, 2, 3])))
+        gz[where] ^= 0x01
+        p = tmp_path / "labels.gz"
+        p.write_bytes(bytes(gz))
+        with pytest.raises(IdxFormatError, match=re.escape(f"{p} is not a whole gzip file: ")):
+            load_labels(str(p))
+
+    @pytest.mark.parametrize("name", ["labels", "labels.gz"])
+    @pytest.mark.parametrize("extra,held", [(b"", 2), (b"\x04", 4), (b"\x04" * 300, 303)])
+    def test_payload_too_short_or_too_long(self, tmp_path, name, extra, held):
+        raw = label_fixture([1, 2, 3])
+        p = write_idx(tmp_path / name, (raw[:-1] if held == 2 else raw) + extra)
+        with pytest.raises(IdxFormatError, match=re.escape(
+                f"{p}: payload holds {held} bytes but dims [3] need 3")):
+            load_labels(p)
+
+    def test_dims_larger_than_the_file_are_counted_not_allocated(self, tmp_path):
+        for name in ("images", "images.gz"):
+            p = write_idx(tmp_path / name, struct.pack(">IIII", 0x00000803, 2**31, 2**31, 2)
+                          + bytes(5))
+            with pytest.raises(IdxFormatError, match=re.escape(
+                    f"{p}: payload holds 5 bytes but dims [{2**31}, {2**31}, 2] need {2**63}")):
+                load_images(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(IDX_LIKE_BYTES)
+    # no pixels, but 2^62 of them per image: the float32 array is too large
+    @example(struct.pack(">IIII", 0x00000803, 0, 2**31, 2**31))
+    def test_arbitrary_files_raise_only_idx_format_error_naming_them(self, tmp_path_factory,
+                                                                     buf):
+        d = tmp_path_factory.getbasetemp() / "arbitrary"
+        d.mkdir(exist_ok=True)
+        for p, raw in ((d / "idx", buf), (d / "idx.gz", gzip.compress(buf)),
+                       (d / "raw.gz", buf)):
+            p.write_bytes(raw)
+            for load in (load_images, load_labels):
+                try:
+                    out = load(str(p))
+                except IdxFormatError as e:
+                    assert str(e).startswith(f"{p}: ") or str(e).startswith(
+                        f"{p} is not a whole gzip file: "), e
+                    continue
+                # whatever loads is what parse_idx makes of the inflated bytes
+                inflated = gzip.decompress(raw) if p.name.endswith(".gz") else raw
+                want = (scaled(inflated) if load is load_images
+                        else parse_idx(inflated)[1].astype(np.int64))
+                assert out.shape == want.shape and out.tobytes() == want.tobytes()
 
 
 class TestRealDatasets:

@@ -440,6 +440,14 @@ class TestGradientProperty:
                                     spline=BSplineGrid(1, 2, -2.0, 1.0)), 2))
     @example(model_case(ModelConfig("fc-kan", widths=(3, 3, 3), functions=("sin", "sin"),
                                     combine="product", seed=11), 2))
+    # a loss that curves on a scale below 1e-3: only the ladder's 1e-4 step
+    # resolves layer0.base_weight
+    @example(model_case(ModelConfig("fast-kan", widths=(6, 3, 6, 3, 3), seed=8704,
+                                    spline=RBFGrid(6, -1.1875, 2.0)), 679))
+    # a case whose B-spline derivatives the check resolves on every seed: a
+    # wrong bspline_derivs fails here, where random draws miss it on some seeds
+    @example(model_case(ModelConfig("efficient-kan", widths=(3, 3, 3), seed=0,
+                                    spline=BSplineGrid(4, 3, -1.0, 1.0)), 0))
     def test_random_models_match_fd(self, case):
         config, X, y, rng = case
         check_model_grads_scaled(build_model(config), X, y, rng)
