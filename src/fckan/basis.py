@@ -20,7 +20,7 @@ from . import kernels
 
 
 class BasisConfigError(ValueError):
-    """Invalid basis-function configuration."""
+    """Invalid basis configuration, or a basis kind used where it is unsupported."""
 
 
 def _check_range(grid) -> float:

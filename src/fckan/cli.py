@@ -218,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lr", dest="lr0", metavar="LR", type=float, default=TrainConfig.lr0)
     t.add_argument("--gamma", type=float, default=TrainConfig.gamma)
     t.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    t.add_argument("--runs", type=int, default=TrainConfig.runs)
-    t.add_argument("--seeds", type=_parse_ints, default=TrainConfig.seeds)
+    t.add_argument("--seeds", type=_parse_ints, default=TrainConfig.seeds, help="one run each")
     t.add_argument("--data-dir", default=data_dir)
     t.add_argument("--out", default="experiment.json")
     t.add_argument("--quiet", action="store_true")

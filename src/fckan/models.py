@@ -32,6 +32,7 @@ import numpy as np
 
 from .basis import FCKAN_FUNCTIONS, BSplineGrid, RBFGrid, grid_from_record, grid_record
 from .tensor import (
+    ShapeError,
     Tensor,
     apply_unary,
     basis_expand,
@@ -184,11 +185,7 @@ def count_params(model: Model) -> int:
 def _check_input(model: Model, X: Tensor):
     d0 = model.config.widths[0]
     if X.shape[1] != d0:
-        raise ShapeMismatch(f"model expects {d0} input features, got {X.shape[1]}")
-
-
-class ShapeMismatch(ValueError):
-    """Input width does not match the model's first layer."""
+        raise ShapeError(f"model expects {d0} input features, got {X.shape[1]}")
 
 
 def forward_mlp(model: Model, X: Tensor, tape=None) -> Tensor:

@@ -15,7 +15,7 @@ run on separate threads.
 import numpy as np
 
 from . import kernels
-from .basis import FCKAN_FUNCTIONS
+from .basis import FCKAN_FUNCTIONS, BasisConfigError
 
 # Inputs per grid call in basis_expand: the paper's batch-64 layer 0 (50,176
 # inputs) is one block, and a batch of 1000 keeps its float64 temporaries to
@@ -36,10 +36,6 @@ class TapeError(RuntimeError):
     """Backward called on an exhausted tape or on a non-tape tensor."""
 
 
-class UnsupportedKindError(ValueError):
-    """Basis kind not usable with this operation."""
-
-
 class LabelError(ValueError):
     """Class label outside [0, C)."""
 
@@ -51,11 +47,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
+        if arr.ndim != 2:
             raise ShapeError(f"tensors are 2-D, got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
         self.grad = None
@@ -156,7 +148,7 @@ def apply_unary(tape, name: str, x: Tensor) -> Tensor:
     """One of the fc-kan functions, elementwise; backward uses the analytic
     derivative."""
     if name not in FCKAN_FUNCTIONS:
-        raise UnsupportedKindError(
+        raise BasisConfigError(
             f"apply_unary supports {FCKAN_FUNCTIONS}, got {name!r}"
         )
     return _unary(tape, name, x)
@@ -247,9 +239,10 @@ def softmax_cross_entropy(tape, logits: Tensor, labels) -> Tensor:
     z = logits.data.astype(np.float64)
     z -= z.max(axis=1, keepdims=True)
     ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(ez.sum(axis=1, keepdims=True))
-    loss = -logp[np.arange(m), labels].mean()
+    sums = ez.sum(axis=1, keepdims=True)
+    probs = ez / sums
+    # the label column of the log-softmax z - log(sums), row by row
+    loss = -(z[np.arange(m), labels] - np.log(sums[:, 0])).mean()
     out = Tensor(np.asarray([[loss]]))
 
     def bwd(dout):

@@ -47,19 +47,20 @@ class TrainConfig:
     lr0: float = 1e-3
     gamma: float = 0.8
     weight_decay: float = 1e-4
-    runs: int = 3
+    runs: int | None = None  # None resolves to len(seeds): one run per seed
     seeds: tuple = (0, 1, 2)
 
     def __post_init__(self):
         if self.epochs is None:
             object.__setattr__(self, "epochs", 35 if self.dataset == "fashion-mnist" else 25)
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        if not (self.seeds and all(is_seed(seed) for seed in self.seeds)):
+            raise ValueError(f"seeds must be non-negative ints, at least one, got {self.seeds!r}")
+        object.__setattr__(self, "runs", len(self.seeds) if self.runs is None else self.runs)
         for name, ok, rule in _TRAIN_RULES:
             value = getattr(self, name)
             if not (math.isfinite(value) and ok(value)):
                 raise ValueError(f"{name} must be {rule}, got {value}")
-        if not all(is_seed(seed) for seed in self.seeds):
-            raise ValueError(f"seeds must be non-negative ints, got {self.seeds!r}")
         if len(self.seeds) < self.runs:
             raise ValueError(f"{self.runs} runs need {self.runs} seeds, got {self.seeds}")
 
@@ -146,15 +147,16 @@ class AdamW:
             p.tensor.zero_grad()
 
     def step(self, lr: float):
-        self.t += 1
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.tensor.grad
-            if g is None:
-                continue
-            if not np.isfinite(g).all():
+        # every gradient is checked before the step count or any parameter changes
+        grads = [p.tensor.grad for p in self.params]
+        for p, g in zip(self.params, grads):
+            if g is not None and not np.isfinite(g).all():
                 raise TrainingDiverged(f"non-finite gradient in parameter {p.name}")
-            adamw_step(p.tensor.data, g, m, v, self.t, lr,
-                       weight_decay=self.weight_decay if p.decay else 0.0)
+        self.t += 1
+        for p, g, m, v in zip(self.params, grads, self._m, self._v):
+            if g is not None:
+                adamw_step(p.tensor.data, g, m, v, self.t, lr,
+                           weight_decay=self.weight_decay if p.decay else 0.0)
 
 
 def classification_metrics(preds, labels, num_classes: int):
@@ -192,8 +194,10 @@ def evaluate(model: Model, split: DatasetSplit, batch_size: int = EVAL_BATCH):
 def train_step(model: Model, opt: AdamW, xb, yb, lr: float):
     """One AdamW step on the batch (xb, yb): (loss, logits) of the forward pass.
 
-    A non-finite loss raises TrainingDiverged before any update, leaving
-    parameters, gradients and the optimiser as they were.
+    A non-finite loss raises TrainingDiverged before the backward pass, and a
+    non-finite gradient before any update: parameters, AdamW's moments and
+    its step count stay as they were (after a non-finite loss, the gradients
+    too).
     """
     tape = Tape()
     logits = model.forward(Tensor(xb), tape=tape)
@@ -247,8 +251,8 @@ def train_model(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
 
 def run_experiment(model_cfg: ModelConfig, train_cfg: TrainConfig, splits,
                    log=None) -> list:
-    """Train train_cfg.runs seeds sequentially on ``splits``; returns their
-    RunMetrics in seed order."""
+    """Train the first train_cfg.runs seeds (by default all of them)
+    sequentially on ``splits``; returns their RunMetrics in seed order."""
     runs = []
     for seed in train_cfg.seeds[: train_cfg.runs]:
         cfg = replace(model_cfg, seed=seed)

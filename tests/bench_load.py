@@ -12,13 +12,13 @@ as a training run does, and no load sees another's freed memory.
     PYTHONPATH=src python tests/bench_load.py [--processes 7] [--out BENCH_load.json]
 
 The median and quartiles of the seconds and of the peak RSS are appended as
-one entry, with bench.machine_meta(), the git commit of the measured fckan
-source and a SHA-256 of its files, to the JSON list in --out. The file is a
-trajectory: a run appends and never rewrites.
+one entry to the JSON list in --out by bench_train_step.append_entry, which
+adds bench.machine_meta() and the git commit, SHA-256 and line count of the
+measured fckan source. The file is a trajectory: a run appends and never
+rewrites.
 """
 
 import argparse
-import json
 import os
 import subprocess
 import sys
@@ -26,8 +26,7 @@ import tempfile
 import time
 
 import fckan
-from bench_train_step import source_commit, source_sha256, summary
-from fckan.bench import machine_meta
+from bench_train_step import append_entry, summary
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
@@ -68,34 +67,17 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.processes < MIN_PROCESSES:
         ap.error(f"need --processes >= {MIN_PROCESSES}")
-    entries = []
-    if os.path.exists(args.out):
-        with open(args.out) as f:
-            entries = json.load(f)
-        if not isinstance(entries, list):
-            ap.error(f"{args.out} does not hold a JSON list")
     data_dir = synth.write_dataset(SEED, args.data_dir)
-    commit, dirty = source_commit()
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     seconds, rss = measure(data_dir, args.processes)
-    entries.append({
-        "commit": commit,
-        "source_dirty": dirty,
-        "source_sha256": source_sha256(),
-        "created_utc": started,
-        "machine": machine_meta(),
-        "protocol": {"data": f"perfbench/synth.py seed {SEED}, gzipped IDX",
-                     "processes": args.processes},
-        "load_dataset_s": summary(seconds),
-        "peak_rss_mb": summary(rss),
-    })
-    with open(args.out, "w") as f:
-        json.dump(entries, f, indent=1)
-        f.write("\n")
-    s, m = entries[-1]["load_dataset_s"], entries[-1]["peak_rss_mb"]
+    s, m = summary(seconds), summary(rss)
+    n = append_entry(args.out, started,
+                     protocol={"data": f"perfbench/synth.py seed {SEED}, gzipped IDX",
+                               "processes": args.processes},
+                     load_dataset_s=s, peak_rss_mb=m)
     print(f"load_dataset {s['median']:.3f} s [{s['q1']:.3f}, {s['q3']:.3f}]   "
           f"peak RSS {m['median']:.1f} MB [{m['q1']:.1f}, {m['q3']:.1f}]")
-    print(f"appended entry {len(entries)} to {args.out}")
+    print(f"appended entry {n} to {args.out}")
     return 0
 
 

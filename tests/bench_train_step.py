@@ -15,10 +15,10 @@ onto a fresh Tape, for the number of ops a step sweeps.
 
 Per kind, the median and quartiles over the repeats of the milliseconds per
 step and per forward, the forward's traced peak MiB and the tape's node
-count (tape_nodes) are appended as one
-entry, with bench.machine_meta(), the git commit of the measured fckan
-source and a SHA-256 of its files, to the JSON list in --out.
-The file is a trajectory: a run appends and never rewrites.
+count (tape_nodes) are appended as one entry to the JSON list in --out by
+append_entry, which adds bench.machine_meta() and the git commit, SHA-256
+and line count of the measured fckan source. The file is a trajectory: a
+run appends and never rewrites.
 """
 
 import argparse
@@ -43,15 +43,15 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                            "BENCH_train_step.json")
 FORWARD_BATCH = 1000
 MIN_REPEATS = 5
+SRC = os.path.dirname(os.path.abspath(fckan.__file__))  # the measured fckan package
 
 
 def source_commit():
     """(commit, dirty) of the git checkout holding the imported fckan; (None,
     None) when it is not in one, such as an installed copy."""
-    src = os.path.dirname(os.path.abspath(fckan.__file__))
 
     def git(*args):
-        return subprocess.run(["git", "-C", src, *args], capture_output=True,
+        return subprocess.run(["git", "-C", SRC, *args], capture_output=True,
                               text=True, check=True).stdout.strip()
 
     try:
@@ -64,13 +64,43 @@ def source_sha256():
     """SHA-256 over the imported fckan package's .py files, each taken as its
     name and its bytes in name order, so that two uncommitted variants of one
     commit can be told apart."""
-    src = os.path.dirname(os.path.abspath(fckan.__file__))
     digest = hashlib.sha256()
-    for name in sorted(os.listdir(src)):
+    for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
-            with open(os.path.join(src, name), "rb") as f:
+            with open(os.path.join(SRC, name), "rb") as f:
                 digest.update(name.encode() + b"\0" + f.read())
     return digest.hexdigest()
+
+
+def source_lines():
+    """Non-blank, non-comment lines of the imported fckan package's .py files."""
+    count = 0
+    for name in os.listdir(SRC):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as f:
+                count += sum(1 for line in f if line.strip() and not line.lstrip().startswith("#"))
+    return count
+
+
+def append_entry(path, started: str, **fields) -> int:
+    """Append one entry to the JSON list in path (a new list if the file is
+    absent) and return the list's length. The entry holds the commit, dirty
+    flag, SHA-256 and line count of the measured fckan source, the UTC time
+    the measurement started, bench.machine_meta(), then fields."""
+    entries = []
+    if os.path.exists(path):
+        with open(path) as f:
+            entries = json.load(f)
+        if not isinstance(entries, list):
+            raise SystemExit(f"{path} does not hold a JSON list")
+    commit, dirty = source_commit()
+    entries.append({"commit": commit, "source_dirty": dirty, "source_sha256": source_sha256(),
+                    "source_lines": source_lines(), "created_utc": started,
+                    "machine": machine_meta(), **fields})
+    with open(path, "w") as f:
+        json.dump(entries, f, indent=1)
+        f.write("\n")
+    return len(entries)
 
 
 class Kind:
@@ -141,35 +171,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.steps < 1 or args.repeats < MIN_REPEATS:
         ap.error(f"need --steps >= 1 and --repeats >= {MIN_REPEATS}")
-    entries = []
-    if os.path.exists(args.out):
-        with open(args.out) as f:
-            entries = json.load(f)
-        if not isinstance(entries, list):
-            ap.error(f"{args.out} does not hold a JSON list")
-    commit, dirty = source_commit()
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     kinds = measure(args.steps, args.repeats)
-    entries.append({
-        "commit": commit,
-        "source_dirty": dirty,
-        "source_sha256": source_sha256(),
-        "created_utc": started,
-        "machine": machine_meta(),
-        "protocol": {"widths": [784, 64, 10], "step_batch": BATCH,
-                     "forward_batch": FORWARD_BATCH, "steps_per_repeat": args.steps,
-                     "repeats": args.repeats},
-        "kinds": kinds,
-    })
-    with open(args.out, "w") as f:
-        json.dump(entries, f, indent=1)
-        f.write("\n")
+    n = append_entry(args.out, started,
+                     protocol={"widths": [784, 64, 10], "step_batch": BATCH,
+                               "forward_batch": FORWARD_BATCH,
+                               "steps_per_repeat": args.steps, "repeats": args.repeats},
+                     kinds=kinds)
     for name, k in kinds.items():
         s, fw = k["step_ms"], k["forward_ms"]
         print(f"{name:<14} step {s['median']:8.2f} ms [{s['q1']:.2f}, {s['q3']:.2f}]   "
               f"forward {fw['median']:8.2f} ms [{fw['q1']:.2f}, {fw['q3']:.2f}]   "
               f"peak {k['forward_peak_mib']:7.2f} MiB   {k['tape_nodes']:3d} tape nodes")
-    print(f"appended entry {len(entries)} to {args.out}")
+    print(f"appended entry {n} to {args.out}")
     return 0
 
 

@@ -14,7 +14,7 @@ from fckan.basis import (
     grid_from_record,
     grid_record,
 )
-from fckan.tensor import Tensor, UnsupportedKindError, apply_unary
+from fckan.tensor import Tensor, apply_unary
 
 
 def _value(name, x):
@@ -65,10 +65,10 @@ class TestRegistry:
                 kernels.unary_derivs(name, x)
         assert kernels.unary_derivs("silu", x).shape == x.shape
         for name in FCKAN_FUNCTIONS:
-            assert apply_unary(None, name, Tensor(x)).shape == (1, 9)
+            assert apply_unary(None, name, Tensor(x[None])).shape == (1, 9)
         for name in [*bench_only, "silu", "bspline", "rbf"]:
-            with pytest.raises(UnsupportedKindError, match=name):
-                apply_unary(None, name, Tensor(x))
+            with pytest.raises(BasisConfigError, match=name):
+                apply_unary(None, name, Tensor(x[None]))
 
 
 class TestConfig:

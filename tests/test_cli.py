@@ -16,8 +16,7 @@ def fake_record(path, dataset="mnist", kind="mlp", vals=(97.0, 97.5, 98.0), fns=
         for i, v in enumerate(vals)
     ]
     model_cfg = ModelConfig(kind=kind, functions=fns)
-    train_cfg = TrainConfig(dataset=dataset, runs=len(vals),
-                            seeds=tuple(range(len(vals))))
+    train_cfg = TrainConfig(dataset=dataset, seeds=tuple(range(len(vals))))
     write_record(make_record(model_cfg, train_cfg, runs, 0.0, 1.0), path)
 
 
@@ -231,25 +230,36 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "train-images-idx3-ubyte" in err and "fetch-data" in err
 
-    @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--batch", "0"),
-                                            ("--epochs", "-1")])
+    @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--epochs", "-1")])
     def test_invalid_train_config_is_usage_error(self, tmp_path, capsys, flag, value):
         # exits 2 before looking for data; the empty data dir would give 1
         rc = main(["train", "--model", "mlp", "--data-dir", str(tmp_path), flag, value])
         assert rc == 2
         assert "must be >=" in capsys.readouterr().err
 
+    def test_the_seeds_set_the_run_count(self, tmp_path, capsys):
+        # one seed is one run, not a usage error: only the data is missing
+        rc = main(["train", "--model", "mlp", "--seeds", "0", "--data-dir", str(tmp_path),
+                   "--quiet"])
+        assert rc == 1
+        assert "fetch-data" in capsys.readouterr().err
+
+    def test_runs_is_not_a_flag(self, tmp_path, capsys):
+        rc = main(["train", "--model", "mlp", "--seeds", "0", "--runs", "1",
+                   "--data-dir", str(tmp_path)])
+        assert rc == 2
+        assert "unrecognized arguments: --runs 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seeds", ["0,-1", "0,1,-2"])
     def test_invalid_seed_is_usage_error(self, tmp_path, capsys, seeds):
         # every seed is checked before looking for data; the empty data dir
         # would give 1
-        rc = main(["train", "--model", "mlp", "--seeds", seeds, "--runs", "2",
-                   "--data-dir", str(tmp_path)])
+        rc = main(["train", "--model", "mlp", "--seeds", seeds, "--data-dir", str(tmp_path)])
         assert rc == 2
         assert "seeds must be non-negative ints" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["train", "--model", "mlp", "--seeds", "0,-1", "--runs", "2"],
+        ["train", "--model", "mlp", "--seeds", "0,-1"],
         ["params", "--model", "mlp", "--grid-size", "3"],
         ["bench", "--n", "0"],
     ], ids=lambda argv: argv[0])
@@ -299,7 +309,7 @@ class TestTrainCommand:
         out = tmp_path / "record.json"
         rc = main(
             ["train", "--model", "mlp", "--dataset", "mnist", "--epochs", "0",
-             "--runs", "2", "--seeds", "0,1", "--data-dir", data_dir,
+             "--seeds", "0,1", "--data-dir", data_dir,
              "--out", str(out), "--quiet"]
         )
         assert rc == 0
@@ -317,9 +327,8 @@ class TestTrainCommand:
             out = tmp_path / name
             rc = main(
                 ["train", "--model", "fc-kan", "--functions", "cos",
-                 "--dataset", "mnist", "--epochs", "0", "--runs", "1",
-                 "--seeds", "0", "--data-dir", data_dir, "--out", str(out),
-                 "--quiet"]
+                 "--dataset", "mnist", "--epochs", "0", "--seeds", "0",
+                 "--data-dir", data_dir, "--out", str(out), "--quiet"]
             )
             assert rc == 0
             outs.append(json.loads(out.read_text()))
@@ -332,7 +341,7 @@ class TestTrainToRecord:
     """`fckan train` from IDX files to a record, on full-size random data."""
 
     ARGV = ["train", "--model", "mlp", "--widths", "784,8,10", "--batch", "1000",
-            "--epochs", "1", "--runs", "2", "--seeds", "0,1", "--quiet"]
+            "--epochs", "1", "--seeds", "0,1", "--quiet"]
 
     def train(self, data_dir, out):
         assert main(self.ARGV + ["--data-dir", data_dir, "--out", str(out)]) == 0
@@ -343,6 +352,7 @@ class TestTrainToRecord:
         record = self.train(random_mnist_dir, tmp_path / "a.json")
         assert list(record) == ["model", "train", "runs", "aggregate", "meta"]
         assert [r["seed"] for r in record["runs"]] == [0, 1]
+        assert record["train"]["runs"] == 2  # one run per seed
         runs = [RunMetrics(**{k: v for k, v in r.items() if k != "final_train_acc"})
                 for r in record["runs"]]
         assert record["aggregate"] == aggregate_runs(runs)

@@ -16,7 +16,6 @@ from fckan.models import (
     ConfigError,
     Model,
     ModelConfig,
-    ShapeMismatch,
     build_model,
     combine_outputs,
     count_params,
@@ -26,7 +25,7 @@ from fckan.models import (
     load_model,
     save_model,
 )
-from fckan.tensor import Tape, Tensor, basis_expand, softmax_cross_entropy
+from fckan.tensor import ShapeError, Tape, Tensor, basis_expand, softmax_cross_entropy
 from gradcheck import check_grads, check_model_grads, check_model_grads_scaled
 
 RNG = np.random.default_rng(0)
@@ -226,7 +225,7 @@ class TestForward:
 
     def test_width_mismatch(self):
         model = build_model(toy_config("mlp"))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ShapeError, match="model expects 16 input features, got 8"):
             forward_mlp(model, Tensor(np.zeros((2, 8))))
 
     def test_zero_final_weights_give_zero_logits(self):
@@ -303,11 +302,11 @@ class TestFckanCombination:
 
 class TestCombineOutputs:
     def test_product(self):
-        out = combine_outputs(None, [Tensor([2.0, 3.0]), Tensor([4.0, 5.0])], "product")
+        out = combine_outputs(None, [Tensor([[2.0, 3.0]]), Tensor([[4.0, 5.0]])], "product")
         assert out.data.tolist() == [[8.0, 15.0]]
 
     def test_singleton_sum_is_identity(self):
-        x = Tensor([1.5, -2.0])
+        x = Tensor([[1.5, -2.0]])
         assert combine_outputs(None, [x], "sum") is x
 
     def test_product_with_ones_unchanged(self):

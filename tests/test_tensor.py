@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from fckan import kernels, tensor
-from fckan.basis import BSplineGrid, RBFGrid
+from fckan.basis import BasisConfigError, BSplineGrid, RBFGrid
 from fckan.tensor import (
     LabelError,
     ShapeError,
     Tape,
     TapeError,
     Tensor,
-    UnsupportedKindError,
     apply_unary,
     basis_expand,
     elementwise,
@@ -22,11 +21,12 @@ from gradcheck import check_grads, sum_all, weighted_sum
 
 
 def test_tensor_is_2d_float32():
-    t = Tensor([1, 2, 3])
+    t = Tensor([[1, 2, 3]])
     assert t.shape == (1, 3)
     assert t.data.dtype == np.float32
-    with pytest.raises(ShapeError):
-        Tensor(np.zeros((2, 2, 2)))
+    for data in (1.0, [1, 2, 3], np.zeros(0), np.zeros((2, 2, 2))):
+        with pytest.raises(ShapeError, match=r"tensors are 2-D, got shape \("):
+            Tensor(data)
 
 
 class TestMatmul:
@@ -62,21 +62,21 @@ class TestMatmul:
 
 class TestApplyUnary:
     def test_relu_definition(self):
-        out = apply_unary(None, "relu", Tensor([-1.0, 0.0, 2.5]))
+        out = apply_unary(None, "relu", Tensor([[-1.0, 0.0, 2.5]]))
         assert out.data.tolist() == [[0.0, 0.0, 2.5]]
 
     def test_known_values(self):
-        assert apply_unary(None, "sin", Tensor([0.0])).item() == 0.0
-        assert apply_unary(None, "cos", Tensor([0.0])).item() == 1.0
+        assert apply_unary(None, "sin", Tensor([[0.0]])).item() == 0.0
+        assert apply_unary(None, "cos", Tensor([[0.0]])).item() == 1.0
 
     def test_rejects_non_elementwise(self):
-        with pytest.raises(UnsupportedKindError):
-            apply_unary(None, "bspline", Tensor([0.0]))
-        with pytest.raises(UnsupportedKindError):
-            apply_unary(None, "dog", Tensor([0.0]))
+        with pytest.raises(BasisConfigError):
+            apply_unary(None, "bspline", Tensor([[0.0]]))
+        with pytest.raises(BasisConfigError):
+            apply_unary(None, "dog", Tensor([[0.0]]))
 
     def test_arctan_grad_at_one(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([[1.0]], requires_grad=True)
         tape = Tape()
         loss = sum_all(tape, apply_unary(tape, "arctan", x))
         tape.backward(loss)
@@ -87,7 +87,7 @@ class TestApplyUnary:
         )
 
     def test_relu_grad_zero_at_zero(self):
-        x = Tensor([0.0], requires_grad=True)
+        x = Tensor([[0.0]], requires_grad=True)
         tape = Tape()
         tape.backward(sum_all(tape, apply_unary(tape, "relu", x)))
         assert x.grad[0, 0] == 0.0
@@ -105,7 +105,7 @@ class TestApplyUnary:
 
 class TestElementwise:
     def test_add_mul(self):
-        a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
+        a, b = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
         assert elementwise(None, "add", a, b).data.tolist() == [[4.0, 6.0]]
         assert elementwise(None, "mul", a, b).data.tolist() == [[3.0, 8.0]]
 
@@ -116,11 +116,11 @@ class TestElementwise:
 
     def test_shape_error(self):
         with pytest.raises(ShapeError):
-            elementwise(None, "add", Tensor([1.0]), Tensor([1.0, 2.0]))
+            elementwise(None, "add", Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
 
     def test_mul_backward_routes_other_operand(self):
-        a = Tensor([2.0, 3.0], requires_grad=True)
-        b = Tensor([5.0, 7.0], requires_grad=True)
+        a = Tensor([[2.0, 3.0]], requires_grad=True)
+        b = Tensor([[5.0, 7.0]], requires_grad=True)
         tape = Tape()
         tape.backward(sum_all(tape, elementwise(tape, "mul", a, b)))
         assert a.grad.tolist() == [[5.0, 7.0]]
@@ -139,7 +139,7 @@ class TestElementwise:
 class TestLayerNorm:
     def test_constant_row_collapses_to_beta(self):
         out = layer_norm(
-            None, Tensor([5.0, 5.0, 5.0]), Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3)))
+            None, Tensor([[5.0, 5.0, 5.0]]), Tensor(np.ones((1, 3))), Tensor(np.zeros((1, 3)))
         )
         assert out.data.tolist() == [[0.0, 0.0, 0.0]]
 
@@ -147,7 +147,7 @@ class TestLayerNorm:
         # deviations [-1, 1] with variance 1, so the output is exactly
         # [-1, 1] / sqrt(1 + LN_EPS) rounded to float32
         out = layer_norm(
-            None, Tensor([1.0, 3.0]), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))
+            None, Tensor([[1.0, 3.0]]), Tensor(np.ones((1, 2))), Tensor(np.zeros((1, 2)))
         )
         want = np.float32(np.array([[-1.0, 1.0]]) / np.sqrt(1 + 1e-5))
         assert out.data.tobytes() == want.tobytes()
@@ -208,8 +208,8 @@ class TestSoftmaxCrossEntropy:
 
 class TestSilu:
     def test_values(self):
-        assert silu(None, Tensor([0.0])).item() == 0.0
-        assert silu(None, Tensor([10.0])).item() == pytest.approx(10.0, rel=1e-4)
+        assert silu(None, Tensor([[0.0]])).item() == 0.0
+        assert silu(None, Tensor([[10.0]])).item() == pytest.approx(10.0, rel=1e-4)
 
     def test_grad_matches_fd(self):
         rng = np.random.default_rng(13)
@@ -360,19 +360,19 @@ class TestBasisExpand:
 
 class TestBackward:
     def test_sum_gives_ones(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
         tape = Tape()
         tape.backward(sum_all(tape, x))
         assert x.grad.tolist() == [[1.0, 1.0, 1.0]]
 
     def test_quadratic(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         tape = Tape()
         tape.backward(sum_all(tape, elementwise(tape, "mul", x, x)))
         assert x.grad.tolist() == [[2.0, 4.0]]
 
     def test_fanout_accumulates(self):
-        x = Tensor([1.0, 1.0, 1.0], requires_grad=True)
+        x = Tensor([[1.0, 1.0, 1.0]], requires_grad=True)
         tape = Tape()
         loss = elementwise(tape, "add", sum_all(tape, x), sum_all(tape, x))
         tape.backward(loss)
@@ -396,8 +396,8 @@ class TestBackward:
         # an elementwise add hands its output gradient to both inputs; the
         # first input's gradient must not be that array, or the second
         # accumulation would add into the output's gradient too
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([3.0, 4.0], requires_grad=True)
+        a = Tensor([[1.0, 2.0]], requires_grad=True)
+        b = Tensor([[3.0, 4.0]], requires_grad=True)
         tape = Tape()
         y = elementwise(tape, "add", a, b)
         tape.backward(sum_all(tape, elementwise(tape, "add", y, a)))
@@ -406,7 +406,7 @@ class TestBackward:
         assert y.grad.tolist() == [[1.0, 1.0]]
 
     def test_non_scalar_loss_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         tape = Tape()
         y = elementwise(tape, "add", x, x)
         with pytest.raises(TapeError, match="scalar"):
@@ -414,12 +414,12 @@ class TestBackward:
 
     def test_loss_not_on_tape_rejected(self):
         tape = Tape()
-        sum_all(tape, Tensor([1.0], requires_grad=True))
+        sum_all(tape, Tensor([[1.0]], requires_grad=True))
         with pytest.raises(TapeError):
             tape.backward(Tensor([[1.0]]))
 
     def test_loss_from_a_longer_tape_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         long_tape, short_tape = Tape(), Tape()
         loss = sum_all(long_tape, elementwise(long_tape, "add", x, x))
         sum_all(short_tape, x)
@@ -427,7 +427,7 @@ class TestBackward:
             short_tape.backward(loss)
 
     def test_double_backward_rejected(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
         tape = Tape()
         loss = sum_all(tape, x)
         tape.backward(loss)

@@ -128,13 +128,21 @@ class TestAdamW:
         assert np.array_equal(theta, before)
 
     def test_non_finite_gradient_names_parameter(self):
+        # the NaN sits in the last parameter, so every other one would be
+        # updated before it if the check ran parameter by parameter
         model = build_model(ModelConfig(kind="mlp", widths=(4, 3, 2)))
-        opt = AdamW(model.params)
+        opt = AdamW(model.params, weight_decay=0.1)
+        rng = np.random.default_rng(0)
         for p in model.params:
-            p.tensor.grad = np.zeros_like(p.tensor.data)
-        model.params[2].tensor.grad[0, 0] = np.nan
-        with pytest.raises(TrainingDiverged, match=model.params[2].name):
+            p.tensor.grad = rng.standard_normal(p.tensor.data.shape).astype(np.float32)
+        opt.step(1e-3)  # nonzero moments, t = 1
+        model.params[-1].tensor.grad[0, 0] = np.nan
+        before = [a.copy() for a in (*(p.tensor.data for p in model.params), *opt._m, *opt._v)]
+        with pytest.raises(TrainingDiverged, match=model.params[-1].name):
             opt.step(1e-3)
+        after = (*(p.tensor.data for p in model.params), *opt._m, *opt._v)
+        assert opt.t == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(after, before))
 
     def test_decay_skips_layer_norm_affines(self):
         model = build_model(ModelConfig(kind="mlp", widths=(4, 3, 2)))
@@ -221,6 +229,21 @@ class TestTrainConfig:
     def test_epoch_defaults_per_dataset(self):
         assert TrainConfig(dataset="mnist").epochs == 25
         assert TrainConfig(dataset="fashion-mnist").epochs == 35
+
+    def test_runs_default_to_the_seed_count(self):
+        assert TrainConfig().runs == 3
+        assert TrainConfig(seeds=(7,)).runs == 1
+        assert TrainConfig(seeds=(4, 5)).to_dict()["runs"] == 2
+
+    def test_an_explicit_run_count_still_constructs(self):
+        # the call perfbench makes
+        cfg = TrainConfig(dataset="mnist", epochs=1, runs=1, seeds=(31,))
+        assert (cfg.runs, cfg.seeds) == (1, (31,))
+
+    def test_no_seeds_is_an_error_naming_seeds(self):
+        with pytest.raises(ValueError, match="seeds must be") as e:
+            TrainConfig(seeds=())
+        assert "runs" not in str(e.value)
 
     def test_needs_enough_seeds(self):
         with pytest.raises(ValueError):
