@@ -1,7 +1,7 @@
 """Dense 2-D float32 tensors with reverse-mode differentiation.
 
 A Tensor wraps a contiguous row-major float32 matrix plus an optional
-gradient buffer. Operations record nodes onto an explicit Tape; calling
+gradient buffer. Operations record onto an explicit Tape; calling
 ``Tape.backward`` on a scalar loss sweeps the tape in reverse topological
 order and accumulates gradients additively into every reachable tensor that
 requires them. Passing ``tape=None`` to any op runs it in inference mode
@@ -43,7 +43,7 @@ class LabelError(ValueError):
 class Tensor:
     """2-D float32 matrix with an optional grad buffer of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float32)
@@ -52,7 +52,6 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = requires_grad
-        self.node_id = None  # index of the producing tape node, None for leaves
 
     @property
     def shape(self):
@@ -79,17 +78,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-class _Node:
-    __slots__ = ("output", "inputs", "backward_fn")
-
-    def __init__(self, output, inputs, backward_fn):
-        self.output = output
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-
-
 class Tape:
-    """Ordered record of operations; inputs of every node precede it."""
+    """Operations as (output, inputs, backward_fn) records, each after its inputs."""
 
     def __init__(self):
         self._nodes = []
@@ -99,9 +89,8 @@ class Tape:
         return len(self._nodes)
 
     def record(self, output: Tensor, inputs, backward_fn) -> Tensor:
-        output.node_id = len(self._nodes)
         output.requires_grad = any(t.requires_grad for t in inputs)
-        self._nodes.append(_Node(output, tuple(inputs), backward_fn))
+        self._nodes.append((output, tuple(inputs), backward_fn))
         return output
 
     def backward(self, loss: Tensor):
@@ -110,16 +99,15 @@ class Tape:
             raise TapeError("tape already swept; record onto a new tape")
         if loss.data.shape != (1, 1):
             raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
-        if (loss.node_id is None or loss.node_id >= len(self._nodes)
-                or self._nodes[loss.node_id].output is not loss):
+        # newest first: a training step's loss is the last record
+        if not any(output is loss for output, _, _ in reversed(self._nodes)):
             raise TapeError("loss was not produced on this tape")
         self._spent = True
         loss.grad = np.ones((1, 1), dtype=np.float32)
-        for node in reversed(self._nodes):
-            dout = node.output.grad
-            if dout is None:
+        for output, inputs, backward_fn in reversed(self._nodes):
+            if output.grad is None:
                 continue
-            for t, g in zip(node.inputs, node.backward_fn(dout)):
+            for t, g in zip(inputs, backward_fn(output.grad)):
                 if g is not None and t.requires_grad:
                     t._accumulate(g)
 

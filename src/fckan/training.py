@@ -30,6 +30,8 @@ _TRAIN_RULES = (
     ("gamma", lambda v: v > 0, "finite and > 0"),
     ("weight_decay", lambda v: v >= 0, "finite and >= 0"),
 )
+# the fields that count: ints, as a seed is (models.is_seed); bool and np.int64 are not
+_COUNTS = ("batch_size", "runs", "epochs")
 
 # AdamW's moment decay rates and denominator guard: one protocol for every model
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -54,11 +56,15 @@ class TrainConfig:
         if self.epochs is None:
             object.__setattr__(self, "epochs", 35 if self.dataset == "fashion-mnist" else 25)
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not (self.seeds and all(is_seed(seed) for seed in self.seeds)):
-            raise ValueError(f"seeds must be non-negative ints, at least one, got {self.seeds!r}")
+        if not (self.seeds and all(is_seed(seed) for seed in self.seeds)
+                and len(set(self.seeds)) == len(self.seeds)):
+            raise ValueError("seeds must be non-negative ints, at least one, all distinct, "
+                             f"got {self.seeds!r}")
         object.__setattr__(self, "runs", len(self.seeds) if self.runs is None else self.runs)
         for name, ok, rule in _TRAIN_RULES:
             value = getattr(self, name)
+            if name in _COUNTS and type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
             if not (math.isfinite(value) and ok(value)):
                 raise ValueError(f"{name} must be {rule}, got {value}")
         if len(self.seeds) < self.runs:
@@ -183,6 +189,8 @@ EVAL_BATCH = 1000  # rows per forward pass in evaluate
 
 def evaluate(model: Model, split: DatasetSplit, batch_size: int = EVAL_BATCH):
     """(accuracy %, macro F1 %) of the model on a split, without recording."""
+    if not split.n:
+        raise DataError(f"cannot evaluate on an empty split: {split.name} has 0 rows")
     preds = np.empty(split.n, dtype=np.int64)
     for start in range(0, split.n, batch_size):
         stop = min(start + batch_size, split.n)

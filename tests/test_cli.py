@@ -250,7 +250,7 @@ class TestTrainCommand:
         assert rc == 2
         assert "unrecognized arguments: --runs 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seeds", ["0,-1", "0,1,-2"])
+    @pytest.mark.parametrize("seeds", ["0,-1", "0,1,-2", "0,0"])
     def test_invalid_seed_is_usage_error(self, tmp_path, capsys, seeds):
         # every seed is checked before looking for data; the empty data dir
         # would give 1

@@ -285,10 +285,10 @@ class TestFckanCombination:
         tape = Tape()
         forward_fckan(model, Tensor(X16), tape)
         gamma = model.layers[0]["ln_gamma"]
-        norms = [n for n in tape._nodes if any(t is gamma for t in n.inputs)]
+        norms = [out for out, inputs, _ in tape._nodes if any(t is gamma for t in inputs)]
         assert len(norms) == 1
-        h = norms[0].output
-        assert sum(any(t is h for t in n.inputs) for n in tape._nodes) == len(fns)
+        h = norms[0]
+        assert sum(any(t is h for t in inputs) for _, inputs, _ in tape._nodes) == len(fns)
 
     def test_layer0_norm_gradients_match_fd(self):
         model = build_model(toy_config("fc-kan", functions=FOUR_FNS, combine="product"))
@@ -355,7 +355,7 @@ class TestSplineForward:
         tape = Tape()
         model.forward(Tensor(X16), tape)
         assert [grids for _, grids in made] == [model.config.grids] * len(model.layers)
-        assert all(tape._nodes[out.node_id].output is out for out, _ in made)
+        assert all(any(output is out for output, _, _ in tape._nodes) for out, _ in made)
 
     # nodes one forward records: fc-kan is the paper's, four functions by product
     TAPE_NODES = {"mlp": 5, "fc-kan": 24, "efficient-kan": 14, "fast-kan": 12, "bsrbf-kan": 12}

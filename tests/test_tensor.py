@@ -346,7 +346,8 @@ class TestBasisExpand:
         grids = _grids(grid)
         tape = Tape()
         out = basis_expand(tape, Tensor(self.inputs((2, 11), grids[0])), *grids)
-        assert tape._nodes[out.node_id].backward_fn(np.ones_like(out.data)) == (None,)
+        output, _, backward_fn = tape._nodes[-1]
+        assert output is out and backward_fn(np.ones_like(out.data)) == (None,)
 
     def test_no_grid_is_a_shape_error(self):
         with pytest.raises(ShapeError, match="one or more grids"):
@@ -404,6 +405,24 @@ class TestBackward:
         assert a.grad is not y.grad and b.grad is not y.grad
         assert a.grad.tolist() == [[2.0, 2.0]] and b.grad.tolist() == [[1.0, 1.0]]
         assert y.grad.tolist() == [[1.0, 1.0]]
+
+    def test_loss_followed_by_more_records_sweeps_the_same(self):
+        def sweep(more):
+            x = Tensor([[0.5, -1.0, 2.0]], requires_grad=True)
+            w = Tensor([[1.0, -2.0], [0.25, 3.0], [-0.5, 1.5]], requires_grad=True)
+            tape = Tape()
+            loss = softmax_cross_entropy(tape, matmul(tape, apply_unary(tape, "sin", x), w), [1])
+            if more:  # records after the loss: one reads the loss, one the leaves
+                elementwise(tape, "mul", loss, loss)
+                matmul(tape, x, w)
+            tape.backward(loss)
+            return len(tape), x.grad, w.grad
+
+        n_last, gx_last, gw_last = sweep(more=False)
+        n, gx, gw = sweep(more=True)
+        assert (n_last, n) == (3, 5)  # len(tape) counts every record after the sweep
+        assert np.any(gx != 0) and np.any(gw != 0)
+        assert gx.tobytes() == gx_last.tobytes() and gw.tobytes() == gw_last.tobytes()
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)

@@ -197,6 +197,12 @@ class TestMetrics:
         acc, f1 = evaluate(model, split)
         assert 0.0 <= acc <= 100.0 and 0.0 <= f1 <= 100.0
 
+    def test_evaluate_on_an_empty_split_names_it(self):
+        split = synthetic_split(n=0, d=16, classes=4, name="mnist/val")
+        model = build_model(ModelConfig(kind="mlp", widths=(16, 8, 4)))
+        with pytest.raises(DataError, match="empty split: mnist/val has 0 rows"):
+            evaluate(model, split)
+
 
 class TestAggregate:
     def test_hand_arithmetic(self):
@@ -249,7 +255,8 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(runs=4, seeds=(0, 1, 2))
 
-    @pytest.mark.parametrize("seeds", [(0, -1), (0, True), (0, 1.0), (0, "1"), (0, 1, -2)])
+    @pytest.mark.parametrize("seeds", [(0, -1), (0, True), (0, 1.0), (0, "1"), (0, 1, -2),
+                                       (0, 0), (0, 1, 0)])
     def test_rejects_a_seed_model_config_rejects(self, seeds):
         # every seed is checked, also one past the runs that would train
         with pytest.raises(ValueError, match="seeds"):
@@ -257,6 +264,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("runs", 0), ("epochs", -1),
+        ("epochs", 1.5), ("batch_size", 2.5), ("batch_size", True), ("runs", 1.5),
+        ("epochs", np.int64(3)), ("batch_size", 64.0),
         ("lr0", 0.0), ("lr0", -1e-3), ("lr0", math.nan), ("lr0", math.inf),
         ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.nan),
         ("weight_decay", -5.0), ("weight_decay", math.inf),
