@@ -12,6 +12,8 @@ the one view of it. The math lives in fckan.kernels.
 """
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +21,48 @@ import numpy as np
 from . import kernels
 
 
-class BasisConfigError(ValueError):
-    """Invalid basis configuration, or a basis kind used where it is unsupported."""
+class ConfigError(ValueError):
+    """An invalid configuration, or a basis kind used where it is unsupported."""
+
+
+def is_count(value, least: int) -> bool:
+    """A count is an int, not a bool or a NumPy integer, of at least least."""
+    return type(value) is int and value >= least
+
+
+def count(name: str, value, least: int) -> int:
+    """value if it is a count of at least least, else a ConfigError naming name."""
+    if not is_count(value, least):
+        raise ConfigError(f"{name} must be >= {least}, an int, got {value!r}")
+    return value
+
+
+def real(name: str, value, least: float = -math.inf, strict: bool = False):
+    """value if it is a real (a finite int or float, not a bool) >= least, or > if strict."""
+    # abs(value) <= the largest float64 is False for nan, inf and an int too big for a float
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value > least or value == least and not strict)):
+        bound = f" and {'>' if strict else '>='} {least:g}" if least > -math.inf else ""
+        raise ConfigError(f"{name} must be finite{bound}, a real number, got {value!r}")
+    return value
+
+
+def sequence(name: str, value) -> tuple:
+    """value as a tuple, or a ConfigError naming name if it is not a sequence."""
+    if not isinstance(value, Sequence):
+        raise ConfigError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
 
 
 def _check_range(grid) -> float:
     """The width hi - lo of the grid's range, which must be finite and positive."""
-    if not (math.isfinite(grid.lo) and math.isfinite(grid.hi) and grid.lo < grid.hi):
-        raise BasisConfigError(f"grid range [{grid.lo}, {grid.hi}] is empty or not finite")
-    width = float(grid.hi) - float(grid.lo)  # a Python float overflows to inf without a warning
+    lo, hi = real("lo", grid.lo), real("hi", grid.hi)
+    if not lo < hi:
+        raise ConfigError(f"grid range [{lo}, {hi}] is empty")
+    width = float(hi) - float(lo)  # a Python float overflows to inf without a warning
     if not math.isfinite(width):
-        raise BasisConfigError(f"grid range [{grid.lo}, {grid.hi}] is wider than a float64")
+        raise ConfigError(f"grid range [{lo}, {hi}] is wider than a float64")
     return width
 
 
@@ -45,17 +78,14 @@ class BSplineGrid:
     name = "bspline"  # its kind in KINDS and in saved records
 
     def __post_init__(self):
-        g, k = self.grid_size, self.spline_order
-        if g < 1 or k < 0:
-            raise BasisConfigError(
-                f"bspline needs grid_size >= 1 and spline_order >= 0, got G={g}, k={k}"
-            )
+        g = count("grid_size", self.grid_size, 1)
+        k = count("spline_order", self.spline_order, 0)
         step = _check_range(self) / g
         with np.errstate(over="ignore"):  # an infinite knot is rejected next
             knots = self.lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
         if not np.isfinite(knots).all():
-            raise BasisConfigError(f"bspline knots k={k} steps beyond [{self.lo}, {self.hi}] "
-                                   "are not finite")
+            raise ConfigError(f"bspline knots k={k} steps beyond [{self.lo}, {self.hi}] "
+                              "are not finite")
         knots.setflags(write=False)  # shared by every model built from this grid
         object.__setattr__(self, "knots", knots)
 
@@ -83,13 +113,11 @@ class RBFGrid:
     name = "rbf"  # its kind in KINDS and in saved records
 
     def __post_init__(self):
-        g = self.grid_size
-        if g < 2:
-            raise BasisConfigError(f"rbf needs grid_size >= 2 (bandwidth undefined), got G={g}")
+        g = count("grid_size", self.grid_size, 2)  # a bandwidth needs two centers
         bandwidth = _check_range(self) / (g - 1)
         # the derivatives divide by the square, a normal float64 with no overflow
         if not np.finfo(np.float64).tiny <= bandwidth * bandwidth < math.inf:
-            raise BasisConfigError(f"rbf bandwidth {bandwidth} is too small or too large to square")
+            raise ConfigError(f"rbf bandwidth {bandwidth} is too small or too large to square")
         centers = np.linspace(self.lo, self.hi, g, dtype=np.float64)
         centers.setflags(write=False)
         object.__setattr__(self, "centers", centers)
@@ -144,10 +172,10 @@ def grid_from_record(record: dict):
     fields = dict(record)
     family = getattr(KINDS.get(fields.pop("name", None)), "grid", None)
     if family is None:
-        raise BasisConfigError(f"not a grid record: {record!r}")
+        raise ConfigError(f"not a grid record: {record!r}")
     if family is RBFGrid and fields.pop("spline_order", 0) != 0:
-        raise BasisConfigError(f"an rbf grid has no spline order: {record!r}")
+        raise ConfigError(f"an rbf grid has no spline order: {record!r}")
     try:
         return family(**fields)
     except TypeError:
-        raise BasisConfigError(f"bad grid record: {record!r}") from None
+        raise ConfigError(f"bad grid record: {record!r}") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .basis import KINDS
+from .basis import KINDS, ConfigError, count
 
 CSV_FIELDS = ("function", "mean_us", "std_us", "repeats", "n", "checksum")
 
@@ -48,12 +48,10 @@ def _make_pass(name: str, n: int):
 
 def bench_function(name: str, n: int, repeats: int) -> BenchResult:
     """Time one function over n elements, repeats times plus a warm-up."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if repeats < 3:
-        raise ValueError(f"repeats must be >= 3, got {repeats}")
+    count("n", n, 1)
+    count("repeats", repeats, 3)
     if name not in KINDS:
-        raise ValueError(f"benchmark covers {tuple(KINDS)}, got {name!r}")
+        raise ConfigError(f"benchmark covers {tuple(KINDS)}, got {name!r}")
     one_pass = _make_pass(name, n)
     out = one_pass()  # warm-up, untimed
     times = np.empty(repeats, dtype=np.float64)

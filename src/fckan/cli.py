@@ -23,6 +23,7 @@ from .bench import bench_suite, format_table, machine_meta, write_csv
 from .data import DATASET_NAMES, SPLIT_FILES, load_dataset
 from .models import (
     COMBINE_OPS,
+    ConfigError,
     ModelConfig,
     MODEL_KINDS,
     MODELS,
@@ -81,18 +82,12 @@ def _model_config(args, parser) -> ModelConfig:
         fields = {f.name for f in dataclasses.fields(base)}
         bad = ", ".join("--" + k.replace("_", "-") for k in given if k not in fields)
         parser.error(f"{args.model}'s {type(base).__name__} takes no {bad}")
-    except ValueError as e:
-        parser.error(str(e))
 
 
 def cmd_train(args, parser) -> int:
     model_cfg = _model_config(args, parser)
-    try:
-        train_cfg = TrainConfig(**{f.name: getattr(args, f.name)
-                                   for f in dataclasses.fields(TrainConfig)
-                                   if hasattr(args, f.name)})
-    except ValueError as e:
-        parser.error(str(e))
+    train_cfg = TrainConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(TrainConfig) if hasattr(args, f.name)})
     t0 = time.perf_counter()
     splits = load_dataset(train_cfg.dataset, args.data_dir)
     load_seconds = time.perf_counter() - t0
@@ -112,10 +107,7 @@ def cmd_train(args, parser) -> int:
 
 
 def cmd_bench(args, parser) -> int:
-    try:
-        results = bench_suite(n=args.n, repeats=args.repeats)
-    except ValueError as e:  # --n or --repeats out of range
-        parser.error(str(e))
+    results = bench_suite(n=args.n, repeats=args.repeats)
     meta = machine_meta()
     print(f"n={args.n} repeats={args.repeats}")
     print(f"machine: {meta['platform']} ({meta['cpus']} cpus)")
@@ -253,7 +245,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, args.parser)
+        try:
+            return args.run(args, args.parser)
+        except ConfigError as e:  # a flag's value that its config rejects: a usage error
+            args.parser.error(str(e))
     except SystemExit as e:  # argparse --help or usage errors
         return int(e.code or 0)
     except (OSError, ValueError, ReportError, TrainingDiverged) as e:

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import count
+
 DATASET_NAMES = ("mnist", "fashion-mnist")
 
 IMAGE_MAGIC = 0x00000803
@@ -201,8 +203,7 @@ def batch_iter(split: DatasetSplit, batch_size: int, seed: int = 0):
     The permutation is a pure function of the seed; the final partial batch
     is included.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    count("batch_size", batch_size, 1)
     order = np.random.default_rng(seed).permutation(split.n)
     for start in range(0, split.n, batch_size):
         idx = order[start : start + batch_size]

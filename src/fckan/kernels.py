@@ -76,7 +76,9 @@ def _local_bases(x, knots, order, lower=None):
     j = np.searchsorted(knots, x, side="right") - 1
     inside = (j >= 0) & (j <= last)
     j[~inside] = 0
-    x = np.where(inside, x, knots[0])
+    # + 0.0 turns an x of -0.0 into +0.0: on a knot at 0, x - t_j would be -0.0,
+    # and the recursion would carry that sign into bases and derivatives of 0
+    x = np.where(inside, x, knots[0]) + 0.0
     # the knots extended by ``order`` steps past each end, so that every knot
     # the recursion reads exists; the extension only reaches basis indices
     # outside [0, nbasis)

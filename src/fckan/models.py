@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import FCKAN_FUNCTIONS, BSplineGrid, RBFGrid, grid_from_record, grid_record
+from .basis import (FCKAN_FUNCTIONS, BSplineGrid, ConfigError, RBFGrid, count,
+                    grid_from_record, grid_record, sequence)
 from .tensor import (
     ShapeError,
     Tensor,
@@ -51,15 +52,6 @@ CHECKPOINT_VERSION = 1
 COMBINE_OPS = {"sum": "add", "product": "mul"}
 
 
-class ConfigError(ValueError):
-    """Invalid model configuration."""
-
-
-def is_seed(value) -> bool:
-    """A valid seed is a non-negative int; bool, an int subclass, is not one."""
-    return type(value) is int and value >= 0
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str
@@ -72,12 +64,12 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind: {self.kind!r}")
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
-        if len(self.widths) < 2 or any(w < 1 for w in self.widths):
-            raise ConfigError(f"widths need >= 2 entries, all >= 1: {self.widths}")
-        if not is_seed(self.seed):
-            raise ConfigError(f"seed must be a non-negative int, got {self.seed!r}")
-        object.__setattr__(self, "functions", tuple(self.functions))
+        widths = tuple(count("widths", w, 1) for w in sequence("widths", self.widths))
+        object.__setattr__(self, "widths", widths)
+        if len(self.widths) < 2:
+            raise ConfigError(f"widths need >= 2 entries: {self.widths}")
+        count("seed", self.seed, 0)
+        object.__setattr__(self, "functions", sequence("functions", self.functions))
         if self.kind == "fc-kan":
             if not 1 <= len(self.functions) <= 4:
                 raise ConfigError("fc-kan needs between 1 and 4 functions")

@@ -15,7 +15,7 @@ run on separate threads.
 import numpy as np
 
 from . import kernels
-from .basis import FCKAN_FUNCTIONS, BasisConfigError
+from .basis import FCKAN_FUNCTIONS, ConfigError
 
 # Inputs per grid call in basis_expand: the paper's batch-64 layer 0 (50,176
 # inputs) is one block, and a batch of 1000 keeps its float64 temporaries to
@@ -136,9 +136,7 @@ def apply_unary(tape, name: str, x: Tensor) -> Tensor:
     """One of the fc-kan functions, elementwise; backward uses the analytic
     derivative."""
     if name not in FCKAN_FUNCTIONS:
-        raise BasisConfigError(
-            f"apply_unary supports {FCKAN_FUNCTIONS}, got {name!r}"
-        )
+        raise ConfigError(f"apply_unary supports {FCKAN_FUNCTIONS}, got {name!r}")
     return _unary(tape, name, x)
 
 

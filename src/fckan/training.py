@@ -12,26 +12,15 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .data import DataError, DatasetSplit, batch_iter
-from .models import Model, ModelConfig, build_model, is_seed
+from .basis import ConfigError, count, is_count, real, sequence
+from .data import DATASET_NAMES, DataError, DatasetSplit, batch_iter
+from .models import Model, ModelConfig, build_model
 from .tensor import Tape, Tensor, softmax_cross_entropy
 
 
 class TrainingDiverged(RuntimeError):
     """Non-finite loss or gradient encountered."""
 
-
-# TrainConfig field -> (test on a finite value, the rule it states)
-_TRAIN_RULES = (
-    ("batch_size", lambda v: v >= 1, ">= 1"),
-    ("runs", lambda v: v >= 1, ">= 1"),
-    ("epochs", lambda v: v >= 0, ">= 0"),
-    ("lr0", lambda v: v > 0, "finite and > 0"),
-    ("gamma", lambda v: v > 0, "finite and > 0"),
-    ("weight_decay", lambda v: v >= 0, "finite and >= 0"),
-)
-# the fields that count: ints, as a seed is (models.is_seed); bool and np.int64 are not
-_COUNTS = ("batch_size", "runs", "epochs")
 
 # AdamW's moment decay rates and denominator guard: one protocol for every model
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -53,22 +42,24 @@ class TrainConfig:
     seeds: tuple = (0, 1, 2)
 
     def __post_init__(self):
+        if self.dataset not in DATASET_NAMES:
+            raise ConfigError(f"dataset must be one of {DATASET_NAMES}, got {self.dataset!r}")
+        object.__setattr__(self, "seeds", sequence("seeds", self.seeds))
+        if not (self.seeds and all(is_count(seed, 0) for seed in self.seeds)
+                and len(set(self.seeds)) == len(self.seeds)):
+            raise ConfigError("seeds must be non-negative ints, at least one, all distinct, "
+                              f"got {self.seeds!r}")
         if self.epochs is None:
             object.__setattr__(self, "epochs", 35 if self.dataset == "fashion-mnist" else 25)
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not (self.seeds and all(is_seed(seed) for seed in self.seeds)
-                and len(set(self.seeds)) == len(self.seeds)):
-            raise ValueError("seeds must be non-negative ints, at least one, all distinct, "
-                             f"got {self.seeds!r}")
         object.__setattr__(self, "runs", len(self.seeds) if self.runs is None else self.runs)
-        for name, ok, rule in _TRAIN_RULES:
-            value = getattr(self, name)
-            if name in _COUNTS and type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
-            if not (math.isfinite(value) and ok(value)):
-                raise ValueError(f"{name} must be {rule}, got {value}")
+        count("epochs", self.epochs, 0)
+        count("batch_size", self.batch_size, 1)
+        count("runs", self.runs, 1)
+        real("lr0", self.lr0, 0, strict=True)
+        real("gamma", self.gamma, 0, strict=True)
+        real("weight_decay", self.weight_decay, 0)
         if len(self.seeds) < self.runs:
-            raise ValueError(f"{self.runs} runs need {self.runs} seeds, got {self.seeds}")
+            raise ConfigError(f"{self.runs} runs need {self.runs} seeds, got {self.seeds}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "seeds": list(self.seeds)}

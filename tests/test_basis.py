@@ -8,8 +8,8 @@ from fckan import kernels
 from fckan.basis import (
     FCKAN_FUNCTIONS,
     KINDS,
-    BasisConfigError,
     BSplineGrid,
+    ConfigError,
     RBFGrid,
     grid_from_record,
     grid_record,
@@ -67,7 +67,7 @@ class TestRegistry:
         for name in FCKAN_FUNCTIONS:
             assert apply_unary(None, name, Tensor(x[None])).shape == (1, 9)
         for name in [*bench_only, "silu", "bspline", "rbf"]:
-            with pytest.raises(BasisConfigError, match=name):
+            with pytest.raises(ConfigError, match=name):
                 apply_unary(None, name, Tensor(x[None]))
 
 
@@ -87,29 +87,26 @@ class TestConfig:
         assert grid.centers.tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert grid.bandwidth == 0.5
 
-    def test_invalid_configs(self):
-        with pytest.raises(BasisConfigError):
-            BSplineGrid(0, 3)
-        with pytest.raises(BasisConfigError):
-            BSplineGrid(4, -1)
-        with pytest.raises(BasisConfigError):
-            RBFGrid(1)
-        with pytest.raises(BasisConfigError):
-            BSplineGrid(3, 2, lo=1.0, hi=-1.0)
-        with pytest.raises(BasisConfigError):
-            RBFGrid(4, lo=1.0, hi=1.0)
-        with pytest.raises(BasisConfigError):
-            BSplineGrid(lo=-math.inf)
-        with pytest.raises(BasisConfigError):
-            RBFGrid(hi=math.nan)
+    @pytest.mark.parametrize("family,args,field", [
+        (BSplineGrid, (0, 3), "grid_size"), (BSplineGrid, (4, -1), "spline_order"),
+        (RBFGrid, (1,), "grid_size"), (BSplineGrid, (3, 2, 1.0, -1.0), "range"),
+        (RBFGrid, (4, 1.0, 1.0), "range"), (BSplineGrid, (5, 3, -math.inf), "lo"),
+        (RBFGrid, (8, -2.0, math.nan), "hi"),
+        (BSplineGrid, (5.0, 3), "grid_size"), (BSplineGrid, (5, True), "spline_order"),
+        (BSplineGrid, (5, 3, "a", 1), "lo"), (BSplineGrid, (5, 3, False, True), "lo"),
+        (RBFGrid, (8.0,), "grid_size"), (RBFGrid, (np.int64(8),), "grid_size"),
+    ])
+    def test_invalid_configs(self, family, args, field):
+        with pytest.raises(ConfigError, match=field):
+            family(*args)
 
     def test_rbf_bandwidth_whose_square_underflows_rejected(self):
-        with pytest.raises(BasisConfigError, match="bandwidth"):
+        with pytest.raises(ConfigError, match="bandwidth"):
             RBFGrid(8, 0.0, 1e-300)
-        with pytest.raises(BasisConfigError, match="bandwidth"):
+        with pytest.raises(ConfigError, match="bandwidth"):
             grid_from_record({"name": "rbf", "grid_size": 8, "spline_order": 0,
                               "lo": 0.0, "hi": 1e-300})
-        with pytest.raises(BasisConfigError, match="bandwidth"):
+        with pytest.raises(ConfigError, match="bandwidth"):
             RBFGrid(8, 0.0, 7 * 1.49e-154)  # h^2 just below the smallest normal float64
 
     def test_rbf_bandwidth_just_above_the_limit_evaluates(self):
@@ -130,12 +127,12 @@ class TestConfig:
         (RBFGrid, {"grid_size": 8, "lo": 0.0, "hi": 1.7e308}),
     ], ids=["bspline-width", "rbf-width", "bspline-outer-knots", "rbf-bandwidth-squared"])
     def test_range_without_finite_width_knots_or_bandwidth_rejected(self, family, fields):
-        # a NumPy overflow warning would be an error here, not a BasisConfigError
-        with pytest.raises(BasisConfigError):
+        # a NumPy overflow warning would be an error here, not a ConfigError
+        with pytest.raises(ConfigError):
             family(**fields)
-        with pytest.raises(BasisConfigError):
+        with pytest.raises(ConfigError):
             family(**{**fields, "lo": np.float64(fields["lo"]), "hi": np.float64(fields["hi"])})
-        with pytest.raises(BasisConfigError):
+        with pytest.raises(ConfigError):
             grid_from_record({"name": family.name, **fields})
 
     def test_widest_accepted_ranges_evaluate(self):
@@ -176,7 +173,7 @@ class TestConfig:
         {"name": "bspline", "grid_size": 0, "spline_order": 3, "lo": -1.0, "hi": 1.0},
     ])
     def test_bad_records_rejected(self, record):
-        with pytest.raises(BasisConfigError):
+        with pytest.raises(ConfigError):
             grid_from_record(record)
 
 

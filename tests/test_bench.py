@@ -8,7 +8,7 @@ import pytest
 
 import fckan
 from fckan import kernels
-from fckan.basis import KINDS
+from fckan.basis import KINDS, ConfigError
 from fckan.bench import (
     CSV_FIELDS,
     bench_function,
@@ -55,6 +55,10 @@ def test_input_contracts():
         bench_function("relu", n=100, repeats=2)
     with pytest.raises(ValueError):
         bench_function("sigmoid", n=100, repeats=3)
+    with pytest.raises(ConfigError, match="n must"):
+        bench_function("relu", n=2.5, repeats=3)
+    with pytest.raises(ConfigError, match="repeats"):
+        bench_function("relu", n=10, repeats=3.0)
 
 
 def test_suite_has_all_eight_sorted(tmp_path):

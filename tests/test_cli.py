@@ -54,7 +54,7 @@ class TestParams:
     @pytest.mark.parametrize("argv,message", [
         (["--model", "fast-kan", "--spline-order", "7"], "RBFGrid takes no --spline-order"),
         (["--model", "mlp", "--grid-size", "3"], "only apply to spline models"),
-        (["--model", "efficient-kan", "--grid-size", "0"], "grid_size >= 1"),
+        (["--model", "efficient-kan", "--grid-size", "0"], "grid_size must be >= 1"),
     ])
     def test_grid_flags_the_model_cannot_use(self, capsys, argv, message):
         assert main(["params", "--widths", "16,8,4"] + argv) == 2

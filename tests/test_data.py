@@ -18,6 +18,7 @@ from conftest import (
     write_damaged_layout,
 )
 from fckan import data
+from fckan.basis import ConfigError
 from fckan.data import (
     DataError,
     IdxFormatError,
@@ -313,9 +314,10 @@ class TestBatchIter:
                 seen.append(int(matches[0]))
         assert sorted(set(seen)) == list(range(37))
 
-    def test_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            next(batch_iter(synthetic_split(n=4), 0))
+    @pytest.mark.parametrize("batch_size", [0, 2.5])
+    def test_bad_batch_size(self, batch_size):
+        with pytest.raises(ConfigError, match="batch_size"):
+            next(batch_iter(synthetic_split(n=4), batch_size))
 
     def test_take_subset(self):
         split = synthetic_split(n=50)

@@ -74,6 +74,16 @@ def test_rows_outside_span_are_zero_and_non_finite_rows_follow_recursion():
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_negative_zero_on_a_knot_evaluates_as_zero(order):
+    # a knot at 0: the oracle test draws -0.0 only now and then
+    grid = BSplineGrid(4, order, -2.0, 2.0)
+    assert 0.0 in grid.knots
+    for got, want in zip(grid.values_and_derivs(np.array([-0.0])),
+                         grid.values_and_derivs(np.array([0.0]))):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_bspline_derivs_are_the_bits_of_a_second_pass_at_order_k_minus_1(order, data):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fckan import models
-from fckan.basis import BasisConfigError, BSplineGrid, RBFGrid, grid_record
+from fckan.basis import BSplineGrid, RBFGrid, grid_record
 from fckan.models import (
     MODEL_KINDS,
     CheckpointError,
@@ -43,11 +43,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(kind="cnn")
 
-    def test_bad_widths(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(kind="mlp", widths=(784,))
-        with pytest.raises(ConfigError):
-            ModelConfig(kind="mlp", widths=(784, 0, 10))
+    @pytest.mark.parametrize("widths", [(784,), (784, 0, 10), 5, (4.5, 3), ("4", 3),
+                                        (True, 3)])
+    def test_bad_widths(self, widths):
+        with pytest.raises(ConfigError, match="widths"):
+            ModelConfig(kind="mlp", widths=widths)
 
     def test_fckan_function_validation(self):
         with pytest.raises(ConfigError):
@@ -108,7 +108,7 @@ class TestConfig:
     def test_bsrbf_kan_companion_rbf_grid_checked_with_the_config(self, tmp_path):
         # a valid B-spline grid whose companion RBF bandwidth squared underflows
         narrow = BSplineGrid(5, 3, 0.0, 1e-300)
-        with pytest.raises(BasisConfigError, match="rbf bandwidth"):
+        with pytest.raises(ConfigError, match="rbf bandwidth"):
             ModelConfig(kind="bsrbf-kan", spline=narrow)
         blob = json.dumps({**toy_config("bsrbf-kan").to_dict(),
                            "spline": grid_record(narrow)}).encode()
@@ -507,8 +507,11 @@ class TestCheckpoint:
         b'{"kind": "mlp", "seed": "x"}',
         b'{"kind": "mlp", "seed": 1.5}',
         b'{"kind": "mlp", "seed": -1}',
+        b'{"kind": "mlp", "widths": [4.0, 3]}',
+        b'{"kind": "efficient-kan", "spline": {"name": "bspline", "grid_size": 5.0, '
+        b'"spline_order": 3, "lo": -1.0, "hi": 1.0}}',
     ], ids=["json", "utf8", "list", "no-kind", "str-widths", "null-widths", "list-spline",
-            "str-seed", "float-seed", "negative-seed"])
+            "str-seed", "float-seed", "negative-seed", "float-widths", "float-grid-size"])
     def test_bad_config_blob_rejected(self, tmp_path, blob):
         path = tmp_path / "model.fckn"
         path.write_bytes(b"FCKN" + struct.pack("<II", 1, len(blob)) + blob)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fckan import kernels, tensor
-from fckan.basis import BasisConfigError, BSplineGrid, RBFGrid
+from fckan.basis import BSplineGrid, ConfigError, RBFGrid
 from fckan.tensor import (
     LabelError,
     ShapeError,
@@ -70,9 +70,9 @@ class TestApplyUnary:
         assert apply_unary(None, "cos", Tensor([[0.0]])).item() == 1.0
 
     def test_rejects_non_elementwise(self):
-        with pytest.raises(BasisConfigError):
+        with pytest.raises(ConfigError):
             apply_unary(None, "bspline", Tensor([[0.0]]))
-        with pytest.raises(BasisConfigError):
+        with pytest.raises(ConfigError):
             apply_unary(None, "dog", Tensor([[0.0]]))
 
     def test_arctan_grad_at_one(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import synthetic_split
+from fckan.basis import ConfigError
 from fckan.data import DataError, batch_iter
 from fckan.models import ModelConfig, build_model
 from fckan.training import (
@@ -269,9 +270,11 @@ class TestTrainConfig:
         ("lr0", 0.0), ("lr0", -1e-3), ("lr0", math.nan), ("lr0", math.inf),
         ("gamma", 0.0), ("gamma", -1.0), ("gamma", math.nan),
         ("weight_decay", -5.0), ("weight_decay", math.inf),
+        ("lr0", True), ("lr0", "x"), ("gamma", None), ("weight_decay", False),
+        ("dataset", "cifar"), ("seeds", 5),
     ])
     def test_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValueError, match=field):
+        with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
 
     def test_smallest_valid_values(self):
