@@ -13,7 +13,7 @@ the one view of it. The math lives in fckan.kernels.
 
 import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +68,8 @@ def _check_range(grid) -> float:
 
 @dataclass(frozen=True)
 class BSplineGrid:
-    """Order-k B-splines on a uniform knot vector (``knots``) that extends k
-    steps beyond each end of [lo, hi]: G + 2k + 1 knots, G + k functions."""
+    """Order-k B-splines on an exactly uniform knot vector (``knots``) that
+    extends k steps beyond each end of [lo, hi]: G + 2k + 1 knots, G + k functions."""
 
     grid_size: int = 5
     spline_order: int = 3
@@ -81,11 +81,19 @@ class BSplineGrid:
         g = count("grid_size", self.grid_size, 1)
         k = count("spline_order", self.spline_order, 0)
         step = _check_range(self) / g
+        # lo and step rounded to multiples of one unit, twice the last place of
+        # the outermost knot (in Python floats, which overflow to inf without a
+        # warning): every knot lo + i * step is then exact, and so is every
+        # t_{i+m} - t_i = m * step, the uniform knots the kernels take
+        unit = 2 * math.ulp(max(abs(float(self.lo) - k * step), abs(float(self.hi) + k * step)))
+        lo, step = (round(v / unit) * unit for v in (float(self.lo), step))
         with np.errstate(over="ignore"):  # an infinite knot is rejected next
-            knots = self.lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
+            knots = lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
         if not np.isfinite(knots).all():
             raise ConfigError(f"bspline knots k={k} steps beyond [{self.lo}, {self.hi}] "
                               "are not finite")
+        if not step > 0:
+            raise ConfigError(f"bspline range [{self.lo}, {self.hi}] is too narrow for its knots")
         knots.setflags(write=False)  # shared by every model built from this grid
         object.__setattr__(self, "knots", knots)
 
@@ -169,8 +177,10 @@ def grid_record(grid) -> dict:
 
 def grid_from_record(record: dict):
     """The grid a record written by grid_record describes."""
-    fields = dict(record)
-    family = getattr(KINDS.get(fields.pop("name", None)), "grid", None)
+    fields = dict(record) if isinstance(record, Mapping) else {}
+    name = fields.pop("name", None)
+    # a str first, so that an unhashable name fails here and not in the lookup
+    family = getattr(KINDS.get(name) if isinstance(name, str) else None, "grid", None)
     if family is None:
         raise ConfigError(f"not a grid record: {record!r}")
     if family is RBFGrid and fields.pop("spline_order", 0) != 0:

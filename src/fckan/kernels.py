@@ -4,10 +4,11 @@ Elementwise basis functions and their derivatives work on float32 arrays;
 the grid-expanding bases (B-spline, Gaussian RBF) work on float64 arrays and
 return one row of basis values per input. Every kernel is a vectorized NumPy
 expression; the B-spline runs Cox-de Boor on the k + 1 basis functions that
-are nonzero at each input rather than on the whole basis. A grid's
-derivatives come from its values pass at the same inputs rather than from a
-second one: rbf_derivs takes the RBF values, and bspline_derivs the order
-k - 1 bases that bspline_values passed through.
+are nonzero at each input rather than on the whole basis, in the cell
+coordinates of its exactly uniform knots. A grid's derivatives come from its
+values pass at the same inputs rather than from a second one: rbf_derivs
+takes the RBF values, and bspline_derivs the order k - 1 bases that
+bspline_values passed through.
 """
 
 import numpy as np
@@ -65,44 +66,44 @@ def unary_derivs(name, x):
 def _local_bases(x, knots, order, lower=None):
     """Knot cell of each x and the order-``order`` B-splines nonzero on it.
 
-    Cell j is the half-open interval t_j <= x < t_{j+1}. Returns j and the
-    list b with b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell
-    (outside the knot span, NaN, +-inf) is given cell 0 and all-zero values.
-    Given a list ``lower`` and order >= 1, the pass also puts in it j, the
-    knots t around each cell and the order - 1 bases, taken on the way to
-    order ``order``.
+    Precondition: the knots are exactly uniform, as BSplineGrid places them:
+    every t_i is t_0 + i * (t_1 - t_0) in float64, with no rounding. Cell j is
+    the half-open interval t_j <= x < t_{j+1}. Returns j and the list b with
+    b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell (outside the
+    knot span, NaN, +-inf) is given cell 0 and all-zero values. Given a list
+    ``lower`` and order >= 1, the pass also puts in it j and the order - 1
+    bases, taken on the way to order ``order``.
     """
-    last = knots.shape[0] - 2
-    j = np.searchsorted(knots, x, side="right") - 1
-    inside = (j >= 0) & (j <= last)
-    j[~inside] = 0
+    step = knots[1] - knots[0]
+    inside = (x >= knots[0]) & (x < knots[-1])
     # + 0.0 turns an x of -0.0 into +0.0: on a knot at 0, x - t_j would be -0.0,
     # and the recursion would carry that sign into bases and derivatives of 0
     x = np.where(inside, x, knots[0]) + 0.0
-    # the knots extended by ``order`` steps past each end, so that every knot
-    # the recursion reads exists; the extension only reaches basis indices
-    # outside [0, nbasis)
-    ext = np.concatenate([
-        knots[0] - (knots[1] - knots[0]) * np.arange(order, 0, -1),
-        knots,
-        knots[-1] + (knots[-1] - knots[-2]) * np.arange(1, order + 1),
-    ])
-    # row i of t is t_{j+i+1-order}, for the knots t_{j+1-order}..t_{j+order}
-    t = ext[np.arange(1, 2 * order + 1)[:, None] + j]
-    below = x - t[:order]  # row i: x - t_{j+i+1-order}
-    above = t[order:] - x  # row i: t_{j+i+1} - x
+    # j counts cells from a middle knot t_m, -m to len(knots) - 2 - m, so that
+    # no t_j - t_m = j * step overflows. The cell (x - t_m) / step, taken in
+    # halves so that the difference cannot overflow either, is off by at most
+    # one, which one exact comparison each way with t_j = t_m + j * step puts right
+    m = (knots.shape[0] - 2) // 2
+    j = np.clip(np.floor((0.5 * x - 0.5 * knots[m]) / (0.5 * step)), -m, knots.shape[0] - 2 - m)
+    t = knots[m] + j * step
+    shift = (x >= t + step).view(np.int8) - (x < t).view(np.int8)
+    t += shift * step
+    j = (j + shift).astype(np.intp) + m
+    # x in cell coordinates: u from t_j and v = 1 - u from t_{j+1}, each from
+    # its own difference, which is exact near its end of the cell; 1 - u
+    # would lose the digits of a v near 0
+    u = (x - t) / step
+    v = (t + step - x) / step
     b = [inside.astype(np.float64)]
     for r in range(1, order + 1):
         if r == order and lower is not None:
-            lower.extend((j, t, b))  # b[c] = N_{j-order+1+c}^{order-1}
-        # N_i^r = (x - t_i) / (t_{i+r} - t_i) N_i^{r-1}
-        #       + (t_{i+r+1} - x) / (t_{i+r+1} - t_{i+1}) N_{i+1}^{r-1},
+            lower.extend((j, b))  # b[c] = N_{j-order+1+c}^{order-1}
+        # N_i^r = ((u + j - i) N_i^{r-1} + (v + i + r - j) N_{i+1}^{r-1}) / r,
         # where b[c] = N_i^{r-1} for i = j - r + 1 + c feeds N_{i-1}^r and N_i^r
         raised, carry = [], 0.0
         for c in range(r):
-            d = t[c + order] - t[c + order - r]
-            raised.append(carry + above[c] / d * b[c])
-            carry = below[c + order - r] / d * b[c]
+            raised.append(carry + (v + c) / r * b[c])
+            carry = (u + (r - 1 - c)) / r * b[c]
         b = raised + [carry]
     return j, b
 
@@ -126,7 +127,7 @@ def _scatter(cols, j, nbasis, order):
 def bspline_values(x, knots, order, lower=None):
     """All order-``order`` B-spline basis values at each x.
 
-    x: float64 [n]; knots: strictly increasing float64 [nbasis + order + 1].
+    x: float64 [n]; knots: exactly uniform float64 [nbasis + order + 1] (see _local_bases).
     Returns float64 [n, nbasis] with nbasis = len(knots) - order - 1. Rows of
     x outside the knot span are zero; rows of NaN or +-inf x are NaN from
     order 1 on, as the full Cox-de Boor recursion gives them.
@@ -155,16 +156,12 @@ def bspline_derivs(x, knots, order, lower):
     nbasis = knots.shape[0] - order - 1
     if order == 0:
         return np.zeros((x.shape[0], nbasis), dtype=np.float64)
-    j, t, bases = lower
-    # q = N_i^{k-1} / (t_{i+k} - t_i) for i = j - k + 1 + c, so column c of
-    # the local derivatives, N_{j-k+c}^k', is k * (q[c - 1] - q[c]) with
-    # q[-1] = q[k] = 0
-    cols, prev = [], 0.0
-    for c, b in enumerate(bases):
-        q = b / (t[c + order] - t[c])
-        cols.append(order * (prev - q))
-        prev = q
-    cols.append(order * (prev - 0.0))
+    j, bases = lower
+    # q = N_i^{k-1} / (t_{i+k} - t_i) for i = j - k + 1 + c, where every
+    # t_{i+k} - t_i is t_k - t_0 on uniform knots, so column c of the local
+    # derivatives, N_{j-k+c}^k', is k * (q[c - 1] - q[c]) with q[-1] = q[k] = 0
+    q = [b / (knots[order] - knots[0]) for b in bases]
+    cols = [order * (prev - cur) for prev, cur in zip([0.0] + q, q + [0.0])]
     out = _scatter(cols, j, nbasis, order)
     if order >= 2:
         out[~np.isfinite(x)] = np.nan

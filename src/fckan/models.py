@@ -78,7 +78,8 @@ class ModelConfig:
                     raise ConfigError(
                         f"fc-kan functions come from {FCKAN_FUNCTIONS}, got {f!r}"
                     )
-            if self.combine not in COMBINE_OPS:
+            # a str first: an unhashable method would make the lookup a TypeError
+            if not isinstance(self.combine, str) or self.combine not in COMBINE_OPS:
                 raise ConfigError(f"combine must be one of {tuple(COMBINE_OPS)}: "
                                   f"{self.combine!r}")
         elif self.functions or self.combine != "sum":
@@ -214,7 +215,7 @@ def combine_outputs(tape, outputs, method: str) -> Tensor:
     """Merge per-function outputs elementwise; identity for a single output."""
     if not outputs:
         raise ConfigError("combine_outputs needs at least one tensor")
-    if method not in COMBINE_OPS:
+    if not isinstance(method, str) or method not in COMBINE_OPS:
         raise ConfigError(f"combine must be one of {tuple(COMBINE_OPS)}: {method!r}")
     merged = outputs[0]
     for o in outputs[1:]:

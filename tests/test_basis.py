@@ -95,6 +95,8 @@ class TestConfig:
         (BSplineGrid, (5.0, 3), "grid_size"), (BSplineGrid, (5, True), "spline_order"),
         (BSplineGrid, (5, 3, "a", 1), "lo"), (BSplineGrid, (5, 3, False, True), "lo"),
         (RBFGrid, (8.0,), "grid_size"), (RBFGrid, (np.int64(8),), "grid_size"),
+        # too narrow for distinct knots: the rounded step is 0
+        (BSplineGrid, (5, 3, 1.0, float(np.nextafter(1.0, 2.0))), "range"),
     ])
     def test_invalid_configs(self, family, args, field):
         with pytest.raises(ConfigError, match=field):
@@ -171,6 +173,8 @@ class TestConfig:
         {"name": "rbf", "grid_size": 5, "spline_order": 3, "lo": -1.0, "hi": 1.0},
         {"name": "bspline", "grid_size": 5, "order": 3, "lo": -1.0, "hi": 1.0},
         {"name": "bspline", "grid_size": 0, "spline_order": 3, "lo": -1.0, "hi": 1.0},
+        {"name": ["x"]},  # unhashable
+        ["name"],  # not a mapping
     ])
     def test_bad_records_rejected(self, record):
         with pytest.raises(ConfigError):

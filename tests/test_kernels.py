@@ -1,6 +1,8 @@
 """The NumPy kernels: local-support B-splines against the dense oracle, and
 the derivatives that the grids take from their values pass."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,21 +24,29 @@ def bspline_derivs(x, knots, order):
 
 
 @st.composite
-def grid_and_inputs(draw, order):
+def grids(draw, order):
     g = draw(st.integers(1, 8))
     lo = draw(st.floats(-100.0, 100.0))
     hi = lo + draw(st.floats(1e-3, 100.0))
-    knots = BSplineGrid(g, order, lo, hi).knots
+    return BSplineGrid(g, order, lo, hi)
+
+
+@st.composite
+def grid_and_inputs(draw, order):
+    knots = draw(grids(order)).knots
     span = knots[-1] - knots[0]
 
     def floats(a, b):
         return st.lists(st.floats(a, b), min_size=1, max_size=20)
 
-    # every draw holds the knots themselves, the midpoint of every knot cell,
-    # points beyond both ends of the knot span, points inside it, and the
-    # non-finite values
+    # every draw holds the knots themselves and their float64 neighbours on
+    # either side, which pin order 0's half-open cells at and beside every
+    # knot, the midpoint of every knot cell, points beyond both ends of the
+    # knot span, points inside it, and the non-finite values
     return knots, np.concatenate([
         knots,
+        np.nextafter(knots, -np.inf),
+        np.nextafter(knots, np.inf),
         (knots[:-1] + knots[1:]) / 2,
         draw(floats(knots[0] - 10 * span, knots[0])),
         draw(floats(knots[-1], knots[-1] + 10 * span)),
@@ -61,6 +71,35 @@ def test_bspline_matches_dense_oracle(order, data):
         # in the rows of the first and last order knot cells, whose local
         # bases fall off either end
         assert not np.signbit(got[got == 0.0]).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.integers(0, 4), data=st.data())
+def test_knots_are_exactly_uniform_and_near_the_unrounded_ones(order, data):
+    grid = data.draw(grids(order))
+    t, g = grid.knots, grid.grid_size
+    i = np.arange(t.shape[0])
+    # bit for bit, as the kernels' cell arithmetic takes them
+    assert ((t - t[0]) == i * (t[1] - t[0])).all()
+    near = grid.lo + (i - order) * ((grid.hi - grid.lo) / g)
+    assert np.abs(t - near).max() <= (g + 2 * order + 1) * math.ulp(np.abs(near).max())
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_widest_grids_evaluate_across_their_span(order):
+    # knots out to +-1.1e308, whose span overflows a float64: inputs all across
+    # it find their cells with no overflow warning, which the suite makes an
+    # error, and the bases sum to 1 where all k + 1 of them are in the basis
+    grid = BSplineGrid(5, order, -5e307, 5e307)
+    t = grid.knots
+    assert t[-1] / 2 - t[0] / 2 > np.finfo(np.float64).max / 2
+    x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                        t[:-1] / 2 + t[1:] / 2, [1.7e308, -1.7e308]])
+    values, derivs = grid.values_and_derivs(x)
+    assert np.isfinite(values).all() and np.isfinite(derivs).all()
+    inner = (t[order] <= x) & (x < t[-1 - order])
+    np.testing.assert_allclose(values[inner].sum(axis=1), 1.0, rtol=1e-15)
+    assert not values[(x < t[0]) | (x >= t[-1])].any()
 
 
 def test_rows_outside_span_are_zero_and_non_finite_rows_follow_recursion():

@@ -58,6 +58,12 @@ class TestConfig:
             ModelConfig(kind="fc-kan", functions=("sin",), combine="mean")
         with pytest.raises(ConfigError):
             ModelConfig(kind="mlp", functions=("sin",))
+        # an unhashable combine method is a ConfigError, not a TypeError
+        with pytest.raises(ConfigError, match="combine"):
+            ModelConfig(kind="fc-kan", functions=("sin", "cos"), combine=["sum"])
+        t = Tensor(np.ones((1, 2)))
+        with pytest.raises(ConfigError, match="combine"):
+            combine_outputs(None, [t, t], ["sum"])
 
     def test_round_trips_through_dict(self):
         cfg = ModelConfig(
