@@ -56,14 +56,13 @@ def sequence(name: str, value) -> tuple:
 
 
 def _check_range(grid) -> float:
-    """The width hi - lo of the grid's range, which must be finite and positive."""
+    """The width hi - lo of the grid's non-empty range, inf if it overflows."""
     lo, hi = real("lo", grid.lo), real("hi", grid.hi)
     if not lo < hi:
         raise ConfigError(f"grid range [{lo}, {hi}] is empty")
-    width = float(hi) - float(lo)  # a Python float overflows to inf without a warning
-    if not math.isfinite(width):
-        raise ConfigError(f"grid range [{lo}, {hi}] is wider than a float64")
-    return width
+    # a Python float overflows to inf without a warning; each family's own
+    # rule rejects an infinite width
+    return float(hi) - float(lo)
 
 
 @dataclass(frozen=True)
@@ -81,19 +80,24 @@ class BSplineGrid:
         g = count("grid_size", self.grid_size, 1)
         k = count("spline_order", self.spline_order, 0)
         step = _check_range(self) / g
-        # lo and step rounded to multiples of one unit, twice the last place of
-        # the outermost knot (in Python floats, which overflow to inf without a
-        # warning): every knot lo + i * step is then exact, and so is every
-        # t_{i+m} - t_i = m * step, the uniform knots the kernels take
-        unit = 2 * math.ulp(max(abs(float(self.lo) - k * step), abs(float(self.hi) + k * step)))
-        lo, step = (round(v / unit) * unit for v in (float(self.lo), step))
-        with np.errstate(over="ignore"):  # an infinite knot is rejected next
-            knots = lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
-        if not np.isfinite(knots).all():
+        # in Python floats: the outermost knot within a quarter of the largest
+        # float64, so that rounding (at most G + k + 1 last places) leaves every
+        # knot and the span t_last - t_0 finite; an infinite step, or the NaN
+        # of 0 * inf at k = 0, fails the test too
+        outer = max(abs(float(self.lo) - k * step), abs(float(self.hi) + k * step))
+        if not outer <= sys.float_info.max / 4:
             raise ConfigError(f"bspline knots k={k} steps beyond [{self.lo}, {self.hi}] "
-                              "are not finite")
-        if not step > 0:
-            raise ConfigError(f"bspline range [{self.lo}, {self.hi}] is too narrow for its knots")
+                              "reach past a quarter of the largest float64")
+        # lo and step rounded to multiples of one unit, twice the last place of
+        # the outermost knot: every knot lo + i * step is then exact, and so is
+        # every t_{i+m} - t_i = m * step, the uniform knots the kernels take
+        unit = 2 * math.ulp(outer)
+        lo, step = (round(v / unit) * unit for v in (float(self.lo), step))
+        # every derivative, at most 1 / step, is then finite, and the knots distinct
+        if not step > 1 / sys.float_info.max:
+            raise ConfigError(f"bspline range [{self.lo}, {self.hi}] is too narrow: its "
+                              f"step {step} must exceed 1 / the largest float64")
+        knots = lo + step * np.arange(-k, g + k + 1, dtype=np.float64)
         knots.setflags(write=False)  # shared by every model built from this grid
         object.__setattr__(self, "knots", knots)
 

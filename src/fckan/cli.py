@@ -251,8 +251,8 @@ def main(argv=None) -> int:
             args.parser.error(str(e))
     except SystemExit as e:  # argparse --help or usage errors
         return int(e.code or 0)
-    except (OSError, ValueError, ReportError, TrainingDiverged) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError, ReportError, TrainingDiverged) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

@@ -5,10 +5,10 @@ the grid-expanding bases (B-spline, Gaussian RBF) work on float64 arrays and
 return one row of basis values per input. Every kernel is a vectorized NumPy
 expression; the B-spline runs Cox-de Boor on the k + 1 basis functions that
 are nonzero at each input rather than on the whole basis, in the cell
-coordinates of its exactly uniform knots. A grid's derivatives come from its
-values pass at the same inputs rather than from a second one: rbf_derivs
-takes the RBF values, and bspline_derivs the order k - 1 bases that
-bspline_values passed through.
+coordinates of its exactly uniform knots, whose span must be finite. A grid's
+derivatives come from its values pass at the same inputs rather than from a
+second one: rbf_derivs takes the RBF values, and bspline_derivs the order
+k - 1 bases that bspline_values passed through.
 """
 
 import numpy as np
@@ -67,28 +67,26 @@ def _local_bases(x, knots, order, lower=None):
     """Knot cell of each x and the order-``order`` B-splines nonzero on it.
 
     Precondition: the knots are exactly uniform, as BSplineGrid places them:
-    every t_i is t_0 + i * (t_1 - t_0) in float64, with no rounding. Cell j is
-    the half-open interval t_j <= x < t_{j+1}. Returns j and the list b with
-    b[c] = N_{j-order+c}(x) for c = 0..order. An x in no cell (outside the
-    knot span, NaN, +-inf) is given cell 0 and all-zero values. Given a list
-    ``lower`` and order >= 1, the pass also puts in it j and the order - 1
-    bases, taken on the way to order ``order``.
+    every t_i is t_0 + i * (t_1 - t_0) in float64, with no rounding, and the
+    knot span t_last - t_0 is finite. Cell j is the half-open interval
+    t_j <= x < t_{j+1}. Returns j and the list b with b[c] = N_{j-order+c}(x)
+    for c = 0..order. An x in no cell (outside the knot span, NaN, +-inf) is
+    given cell 0 and all-zero values. Given a list ``lower`` and order >= 1,
+    the pass also puts in it j and the order - 1 bases, taken on the way to
+    order ``order``.
     """
     step = knots[1] - knots[0]
     inside = (x >= knots[0]) & (x < knots[-1])
     # + 0.0 turns an x of -0.0 into +0.0: on a knot at 0, x - t_j would be -0.0,
     # and the recursion would carry that sign into bases and derivatives of 0
     x = np.where(inside, x, knots[0]) + 0.0
-    # j counts cells from a middle knot t_m, -m to len(knots) - 2 - m, so that
-    # no t_j - t_m = j * step overflows. The cell (x - t_m) / step, taken in
-    # halves so that the difference cannot overflow either, is off by at most
-    # one, which one exact comparison each way with t_j = t_m + j * step puts right
-    m = (knots.shape[0] - 2) // 2
-    j = np.clip(np.floor((0.5 * x - 0.5 * knots[m]) / (0.5 * step)), -m, knots.shape[0] - 2 - m)
-    t = knots[m] + j * step
+    # the cell (x - t_0) / step is off by at most one, which one exact
+    # comparison each way with t_j = t_0 + j * step puts right
+    j = np.minimum(np.floor((x - knots[0]) / step), knots.shape[0] - 2)
+    t = knots[0] + j * step
     shift = (x >= t + step).view(np.int8) - (x < t).view(np.int8)
     t += shift * step
-    j = (j + shift).astype(np.intp) + m
+    j = (j + shift).astype(np.intp)
     # x in cell coordinates: u from t_j and v = 1 - u from t_{j+1}, each from
     # its own difference, which is exact near its end of the cell; 1 - u
     # would lose the digits of a v near 0

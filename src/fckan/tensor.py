@@ -171,7 +171,7 @@ def elementwise(tape, op: str, a: Tensor, b: Tensor) -> Tensor:
             return dout * b.data, dout * a.data
 
     else:
-        raise ValueError(f"elementwise op must be 'add' or 'mul', got {op!r}")
+        raise ConfigError(f"elementwise op must be 'add' or 'mul', got {op!r}")
     return _emit(tape, out, (a, b), bwd)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from .basis import ConfigError, count, is_count, real, sequence
 from .data import DATASET_NAMES, DataError, DatasetSplit, batch_iter
 from .models import Model, ModelConfig, build_model
-from .tensor import Tape, Tensor, softmax_cross_entropy
+from .tensor import ShapeError, Tape, Tensor, softmax_cross_entropy
 
 
 class TrainingDiverged(RuntimeError):
@@ -103,7 +103,7 @@ def adamw_step(theta, grad, m, v, t, lr, weight_decay=0.0):
     arrays = (theta, grad, m, v)
     if not all(a.flags.c_contiguous and a.shape == theta.shape and a.dtype == theta.dtype
                for a in arrays):
-        raise ValueError("adamw_step needs C-contiguous arrays of one shape and dtype, got "
+        raise ShapeError("adamw_step needs C-contiguous arrays of one shape and dtype, got "
                          f"{[(a.shape, str(a.dtype), a.flags.c_contiguous) for a in arrays]}")
     theta, grad, m, v = (a.reshape(-1) for a in arrays)  # views, as each is C-contiguous
     scratch = np.empty((2, min(theta.size, CHUNK)), dtype=theta.dtype)

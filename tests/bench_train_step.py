@@ -7,15 +7,17 @@ fc-kan with sin, cos, arctan and relu by product. One repeat times, per kind,
 fixed random batches of 64, and one inference forward of a random batch of
 1000. Repeats go round the kinds in turn, so host noise spreads over all of
 them, after one untimed warm-up round. After the timed repeats, one more
-batch-1000 forward per kind runs under tracemalloc, untimed, for the peak of
-the NumPy buffers it allocates, and one batch-64 forward plus loss records
-onto a fresh Tape, for the number of ops a step sweeps.
+batch-1000 forward and one more train_step per kind run under tracemalloc,
+untimed, each for the peak of the NumPy buffers it allocates, and one batch-64
+forward plus loss records onto a fresh Tape, for the number of ops a step
+sweeps.
 
     PYTHONPATH=src python tests/bench_train_step.py [--out BENCH_train_step.json]
 
 Per kind, the median and quartiles over the repeats of the milliseconds per
-step and per forward, the forward's traced peak MiB and the tape's node
-count (tape_nodes) are appended as one entry to the JSON list in --out by
+step and per forward, the traced peak MiB of the forward (forward_peak_mib)
+and of the step (step_peak_mib) and the tape's node count (tape_nodes) are
+appended as one entry to the JSON list in --out by
 append_entry, which adds bench.machine_meta() and the git commit, SHA-256
 and line count of the measured fckan source. The file is a trajectory: a
 run appends and never rewrites.
@@ -103,6 +105,17 @@ def append_entry(path, started: str, **fields) -> int:
     return len(entries)
 
 
+def peak_mib(call) -> float:
+    """Peak MiB that tracemalloc traces while call() runs. tracemalloc slows
+    every allocation, so no timed call runs under it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 class Kind:
     """One default model with its optimiser and fixed inputs."""
 
@@ -125,13 +138,11 @@ class Kind:
         return (time.perf_counter() - t0) * 1e3
 
     def forward_peak_mib(self) -> float:
-        # tracemalloc slows every allocation, so no timed call runs under it
-        tracemalloc.start()
-        try:
-            self.model.forward(self.X)
-            return tracemalloc.get_traced_memory()[1] / 2**20
-        finally:
-            tracemalloc.stop()
+        return peak_mib(lambda: self.model.forward(self.X))
+
+    def step_peak_mib(self) -> float:
+        xb, yb = self.batches[0]
+        return peak_mib(lambda: train_step(self.model, self.opt, xb, yb, LR))
 
     def tape_nodes(self) -> int:
         """Nodes of one batch-64 forward plus loss, as train_step records them."""
@@ -159,6 +170,7 @@ def measure(steps: int, repeats: int) -> dict:
             times[name][1].append(k.forward_ms())
     return {name: {"step_ms": summary(s), "forward_ms": summary(f),
                    "forward_peak_mib": round(kinds[name].forward_peak_mib(), 2),
+                   "step_peak_mib": round(kinds[name].step_peak_mib(), 2),
                    "tape_nodes": kinds[name].tape_nodes()}
             for name, (s, f) in times.items()}
 
@@ -182,7 +194,8 @@ def main(argv=None) -> int:
         s, fw = k["step_ms"], k["forward_ms"]
         print(f"{name:<14} step {s['median']:8.2f} ms [{s['q1']:.2f}, {s['q3']:.2f}]   "
               f"forward {fw['median']:8.2f} ms [{fw['q1']:.2f}, {fw['q3']:.2f}]   "
-              f"peak {k['forward_peak_mib']:7.2f} MiB   {k['tape_nodes']:3d} tape nodes")
+              f"peak {k['forward_peak_mib']:7.2f} MiB   step peak {k['step_peak_mib']:6.2f} MiB   "
+              f"{k['tape_nodes']:3d} tape nodes")
     print(f"appended entry {n} to {args.out}")
     return 0
 

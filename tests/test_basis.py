@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fckan import kernels
 from fckan.basis import (
@@ -15,6 +19,20 @@ from fckan.basis import (
     grid_record,
 )
 from fckan.tensor import Tensor, apply_unary
+
+
+# 0 and signed reals of magnitude 1e-323 to 1.8e308, spread in log scale and
+# weighted towards both ends of that range, where BSplineGrid's rules bind
+EXPONENTS = st.one_of(st.floats(-323.0, 308.25), st.floats(-323.0, -300.0), st.floats(300.0, 308.25))
+REALS = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e,
+                                          st.sampled_from([-1.0, 1.0]), EXPONENTS))
+
+
+@st.composite
+def bspline_ranges(draw):
+    """(lo, hi): two reals in order, or a real and a real width above it."""
+    a, b = draw(REALS), draw(REALS)
+    return draw(st.sampled_from([tuple(sorted((a, b))), (a, a + abs(b))]))
 
 
 def _value(name, x):
@@ -97,6 +115,10 @@ class TestConfig:
         (RBFGrid, (8.0,), "grid_size"), (RBFGrid, (np.int64(8),), "grid_size"),
         # too narrow for distinct knots: the rounded step is 0
         (BSplineGrid, (5, 3, 1.0, float(np.nextafter(1.0, 2.0))), "range"),
+        # outer knots 1.1e308 and 1.3e308, past a quarter of the largest float64
+        (BSplineGrid, (5, 3, -5e307, 5e307), "knots"), (BSplineGrid, (5, 4, -5e307, 5e307), "knots"),
+        # a step of 2e-310, whose derivatives (up to 1 / step) would overflow
+        (BSplineGrid, (5, 3, 0.0, 1e-309), "range"),
     ])
     def test_invalid_configs(self, family, args, field):
         with pytest.raises(ConfigError, match=field):
@@ -137,12 +159,38 @@ class TestConfig:
         with pytest.raises(ConfigError):
             grid_from_record({"name": family.name, **fields})
 
-    def test_widest_accepted_ranges_evaluate(self):
-        # accepted though wide: knots out to +-1.1e308, a bandwidth squared of 1.3e308
+    def test_widest_accepted_rbf_range_evaluates(self):
+        # accepted though wide: a bandwidth squared of 1.3e308; the widest and
+        # narrowest B-spline grids are in test_kernels
         x = np.array([0.0, 3.4e38, -3.4e38, np.inf, -np.inf, np.nan])
-        for grid in [BSplineGrid(5, 3, -5e307, 5e307), RBFGrid(8, -4e154, 4e154)]:
+        values, derivs = RBFGrid(8, -4e154, 4e154).values_and_derivs(x)
+        assert np.isfinite(values[:3]).all() and np.isfinite(derivs[:3]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=st.integers(1, 8), k=st.integers(0, 4), data=st.data())
+    def test_random_bspline_ranges_are_rejected_or_evaluate_cleanly(self, g, k, data):
+        # ranges of any magnitude from 1e-323 to 1.8e308: BSplineGrid raises
+        # ConfigError, or its grid evaluates with no NumPy warning, finite
+        # values and derivatives at every finite x, and the cell of every x in
+        # the knot span is the one a search of the knots finds
+        lo, hi = data.draw(bspline_ranges())
+        try:
+            grid = BSplineGrid(g, k, lo, hi)
+        except ConfigError:
+            return
+        t = grid.knots
+        x = np.concatenate([
+            t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), t[:-1] / 2 + t[1:] / 2,
+            data.draw(st.lists(st.floats(t[0], t[-1]), max_size=20)),
+            [-sys.float_info.max, sys.float_info.max, np.inf, -np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             values, derivs = grid.values_and_derivs(x)
-            assert np.isfinite(values[:3]).all() and np.isfinite(derivs[:3]).all()
+            cells = kernels._local_bases(x, t, k)[0]
+        finite = np.isfinite(x)
+        assert np.isfinite(values[finite]).all() and np.isfinite(derivs[finite]).all()
+        inside = (t[0] <= x) & (x < t[-1])
+        assert (cells[inside] == np.searchsorted(t, x[inside], side="right") - 1).all()
 
     def test_frozen_and_rbf_has_no_order(self):
         with pytest.raises(dataclasses.FrozenInstanceError):

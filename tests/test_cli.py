@@ -60,6 +60,20 @@ class TestParams:
         assert main(["params", "--widths", "16,8,4"] + argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 1.12 TiB for an array"),
+         "error: Unable to allocate 1.12 TiB for an array\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ])
+    def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch, error, line):
+        # as NumPy fails to allocate a huge model, without allocating one
+        def build_model(cfg):
+            raise error
+
+        monkeypatch.setattr("fckan.cli.build_model", build_model)
+        assert main(["params", "--model", "efficient-kan", "--widths", "4,3"]) == 1
+        assert capsys.readouterr().err == line
+
     def test_per_layer_breakdown(self, capsys):
         main(["params", "--model", "mlp"])
         out = capsys.readouterr().out

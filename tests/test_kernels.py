@@ -2,6 +2,8 @@
 the derivatives that the grids take from their values pass."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 import dense_bspline
 from fckan import kernels
-from fckan.basis import BSplineGrid, RBFGrid
+from fckan.basis import BSplineGrid, ConfigError, RBFGrid
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -85,17 +87,38 @@ def test_knots_are_exactly_uniform_and_near_the_unrounded_ones(order, data):
     assert np.abs(t - near).max() <= (g + 2 * order + 1) * math.ulp(np.abs(near).max())
 
 
-@pytest.mark.parametrize("order", [2, 3])
-def test_widest_grids_evaluate_across_their_span(order):
-    # knots out to +-1.1e308, whose span overflows a float64: inputs all across
-    # it find their cells with no overflow warning, which the suite makes an
-    # error, and the bases sum to 1 where all k + 1 of them are in the basis
-    grid = BSplineGrid(5, order, -5e307, 5e307)
-    t = grid.knots
-    assert t[-1] / 2 - t[0] / 2 > np.finfo(np.float64).max / 2
+def edge_grid(edge, order, past=0.0):
+    """The widest or the narrowest 5-cell grid that BSplineGrid accepts, to
+    within 1e-14 of the rule it is at, or a grid ``past`` beyond that rule:
+    the widest has its outermost knot, before rounding, just inside a quarter
+    of the largest float64, the narrowest its step just above 1 / that float."""
+    big = sys.float_info.max
+    if edge == "widest":
+        a = big / 4 / (5 + 2 * order) * 5 * (1 - 1e-15 + past)
+        return BSplineGrid(5, order, -a, a)
+    return BSplineGrid(5, order, 0.0, 5 / big * (1 + 1e-14 - past))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("edge", ["widest", "narrowest"])
+def test_widest_and_narrowest_grids_evaluate_across_their_span(edge, order):
+    # at the knots, their float64 neighbours and the cell midpoints: no NumPy
+    # warning, finite derivatives (up to 1 / step, near the largest float64
+    # on the narrowest grid), and bases that sum to 1 where all k + 1 of them
+    # are in the basis
+    grid = edge_grid(edge, order)
+    with pytest.raises(ConfigError):
+        edge_grid(edge, order, past=1e-13)
+    t, step = grid.knots, grid.knots[1] - grid.knots[0]
+    if edge == "widest":
+        assert np.abs(t).max() > (1 - 1e-14) * sys.float_info.max / 4
+    else:
+        assert step < (1 + 1e-13) / sys.float_info.max
     x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
-                        t[:-1] / 2 + t[1:] / 2, [1.7e308, -1.7e308]])
-    values, derivs = grid.values_and_derivs(x)
+                        t[:-1] / 2 + t[1:] / 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, derivs = grid.values_and_derivs(x)
     assert np.isfinite(values).all() and np.isfinite(derivs).all()
     inner = (t[order] <= x) & (x < t[-1 - order])
     np.testing.assert_allclose(values[inner].sum(axis=1), 1.0, rtol=1e-15)

@@ -118,6 +118,10 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             elementwise(None, "add", Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
 
+    def test_unknown_op_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="'sub'"):
+            elementwise(None, "sub", Tensor([[1.0]]), Tensor([[2.0]]))
+
     def test_mul_backward_routes_other_operand(self):
         a = Tensor([[2.0, 3.0]], requires_grad=True)
         b = Tensor([[5.0, 7.0]], requires_grad=True)

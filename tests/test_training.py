@@ -8,6 +8,7 @@ from conftest import synthetic_split
 from fckan.basis import ConfigError
 from fckan.data import DataError, batch_iter
 from fckan.models import ModelConfig, build_model
+from fckan.tensor import ShapeError
 from fckan.training import (
     ADAM_EPS,
     BETA1,
@@ -127,6 +128,11 @@ class TestAdamW:
         with pytest.raises(ValueError, match="C-contiguous arrays of one shape and dtype"):
             adamw_step(theta, grad, m, v, t=1, lr=1e-3)
         assert np.array_equal(theta, before)
+
+    def test_mismatched_arrays_are_a_shape_error(self):
+        theta, grad, m = (np.ones((4, 6), dtype=np.float32) for _ in range(3))
+        with pytest.raises(ShapeError, match="one shape and dtype"):
+            adamw_step(theta, grad, m, np.ones((6, 4), dtype=np.float32), t=1, lr=1e-3)
 
     def test_non_finite_gradient_names_parameter(self):
         # the NaN sits in the last parameter, so every other one would be
