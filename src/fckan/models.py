@@ -237,8 +237,7 @@ def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
         w = layer["spline_weight"]
         if "spline_scaler" in layer:
             w = elementwise(tape, "mul", w, repeat_rows(tape, layer["spline_scaler"], nb))
-        expanded = basis_expand(tape, h, *model.config.grids)
-        h = elementwise(tape, "add", base, matmul(tape, expanded, w))
+        h = elementwise(tape, "add", base, basis_expand(tape, h, w, *model.config.grids))
     return h
 
 

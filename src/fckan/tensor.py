@@ -17,9 +17,10 @@ import numpy as np
 from . import kernels
 from .basis import FCKAN_FUNCTIONS, ConfigError
 
-# Inputs per grid call in basis_expand: the paper's batch-64 layer 0 (50,176
-# inputs) is one block, and a batch of 1000 keeps its float64 temporaries to
-# a few MiB each instead of some 50 MiB.
+# Inputs per block of rows in basis_expand: the paper's batch-64 layer 0
+# (50,176 inputs) is one block, and a batch of 1000 keeps its float64
+# temporaries and its float32 expansion to a few MiB each instead of some 50
+# and 25 MiB.
 BLOCK = 1 << 16
 
 # layer_norm's variance guard, in the float32 its rows are normalised in
@@ -247,46 +248,62 @@ def _sum_into(out, arrays):
         out[...] = out + a.astype(np.float32) if i else a
 
 
-def basis_expand(tape, x: Tensor, *grids) -> Tensor:
-    """Expand each entry of [m x d] to the sum of its basis vectors on one or
-    more grids of one size nb (BSplineGrid, RBFGrid), giving [m x d*nb].
+def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
+    """(The summed grid expansion of [m x d]) @ w, giving [m x o].
 
-    Column block i*nb..(i+1)*nb-1 holds the nb basis values of input
-    feature i, matching the row layout of the spline weight matrices. Grids
-    are evaluated in float64 over blocks of at most BLOCK inputs and summed
-    into the float32 output with the bits of elementwise adds of one call per
-    grid. With a tape and an x that requires grad, the forward pass also keeps
-    each block's float64 derivatives, from its values pass, for the backward.
+    Each input expands to the sum of its basis vectors on one or more grids
+    of one size nb (BSplineGrid, RBFGrid), and a row to its d inputs' in turn:
+    [1 x d*nb], matching the row layout of the spline weight matrices, so w
+    is [d*nb x o]. Rows are expanded in blocks of BLOCK // d of them (at least
+    one): the grids are evaluated in float64 and summed into float32 with the
+    bits of elementwise adds of one call per grid, and the block times w fills
+    the block's output rows. Without a tape only one block's expansion exists
+    at a time. With one, each block's expansion is kept for dw if w requires
+    grad, and its float64 derivatives, from its values pass, for dx if x does.
     """
     if not grids or any(g.num_basis != grids[0].num_basis for g in grids):
         raise ShapeError("basis_expand sums one or more grids of one size, got sizes "
                          f"{[g.num_basis for g in grids]}")
     m, d = x.shape
     nb = grids[0].num_basis
-    flat = x.data.reshape(-1)
-    values = np.empty((m * d, nb), dtype=np.float32)
-    derivs = [] if tape is not None and x.requires_grad else None
-    for s in range(0, m * d, BLOCK):
-        block = flat[s:s + BLOCK].astype(np.float64)
-        if derivs is None:
-            _sum_into(values[s:s + BLOCK], (g.values(block) for g in grids))
+    if w.shape[0] != d * nb:
+        raise ShapeError(f"basis_expand of {d} features with {nb} basis functions each "
+                         f"needs {d * nb} rows of w, got {w.shape}")
+    step = max(1, BLOCK // max(d, 1))
+    grad_x = tape is not None and x.requires_grad
+    grad_w = tape is not None and w.requires_grad
+    kept = []  # per block with a grad: (rows, its expansion for dw, its derivatives for dx)
+    out = np.empty((m, w.shape[1]), dtype=np.float32)
+    for r in range(0, m, step):
+        rows = slice(r, r + step)
+        xb = x.data[rows]
+        flat = xb.reshape(-1).astype(np.float64)
+        values = np.empty((flat.size, nb), dtype=np.float32)
+        if grad_x:
+            block_values, derivs = zip(*(g.values_and_derivs(flat) for g in grids))
         else:
-            block_values, block_derivs = zip(*(g.values_and_derivs(block) for g in grids))
-            _sum_into(values[s:s + BLOCK], block_values)
-            derivs.append(block_derivs)
-    out = Tensor(values.reshape(m, d * nb))
+            block_values, derivs = (g.values(flat) for g in grids), None
+        _sum_into(values, block_values)
+        block = values.reshape(len(xb), d * nb)
+        np.matmul(block, w.data, out=out[rows])
+        if grad_x or grad_w:
+            kept.append((rows, block if grad_w else None, derivs))
+    out = Tensor(out)
 
     def bwd(dout):
-        if derivs is None:
-            return (None,)
-        dvalues = dout.reshape(m * d, nb)
-        dx = np.empty(m * d, dtype=np.float32)
-        for s, block_derivs in zip(range(0, m * d, BLOCK), derivs):
-            rows = dvalues[s:s + BLOCK]
-            _sum_into(dx[s:s + BLOCK], (np.einsum("ij,ij->i", rows, g) for g in block_derivs))
-        return (dx.reshape(m, d),)
+        dx = np.empty((m, d), dtype=np.float32) if grad_x else None
+        dw = np.zeros_like(w.data) if grad_w and not kept else None  # no rows
+        for rows, block, derivs in kept:
+            if derivs is not None:
+                dvalues = (dout[rows] @ w.data.T).reshape(-1, nb)
+                _sum_into(dx[rows].reshape(-1),
+                          (np.einsum("ij,ij->i", dvalues, g) for g in derivs))
+            if block is not None:
+                part = block.T @ dout[rows]
+                dw = part if dw is None else np.add(dw, part, out=dw)
+        return dx, dw
 
-    return _emit(tape, out, (x,), bwd)
+    return _emit(tape, out, (x, w), bwd)
 
 
 def repeat_rows(tape, s: Tensor, k: int) -> Tensor:

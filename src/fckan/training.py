@@ -180,6 +180,7 @@ EVAL_BATCH = 1000  # rows per forward pass in evaluate
 
 def evaluate(model: Model, split: DatasetSplit, batch_size: int = EVAL_BATCH):
     """(accuracy %, macro F1 %) of the model on a split, without recording."""
+    count("batch_size", batch_size, 1)
     if not split.n:
         raise DataError(f"cannot evaluate on an empty split: {split.name} has 0 rows")
     preds = np.empty(split.n, dtype=np.int64)

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fckan import kernels, tensor
 from fckan.basis import BSplineGrid, ConfigError, RBFGrid
@@ -232,15 +236,19 @@ def _grids_id(entry):
 
 
 class TestBasisExpand:
-    """basis_expand evaluates its grids over blocks of at most BLOCK inputs and
-    must give the bits of one call per grid over all of them, joined by
-    elementwise adds. With a tape and an input that requires grad it takes
-    each block's derivatives in the forward pass, from that block's values
-    pass; otherwise it takes none."""
+    """basis_expand(tape, x, w, *grids) expands x in blocks of BLOCK // d rows
+    (at least one) and multiplies each block by w into its output rows. It
+    must give the bits of that product written out block by block: one call
+    per grid over the block's inputs, summed as elementwise adds of their
+    float32 casts, times w. With a tape and an input that requires grad it
+    takes each block's derivatives in the forward pass, from that block's
+    values pass; otherwise it takes none."""
 
     B = 7
-    # [m x d] shapes of m*d = 0, 1, B - 1, B, B + 1 and 3B + 2 inputs
-    SHAPES = [(0, 3), (1, 1), (2, 3), (7, 1), (2, 4), (2, 11)]
+    O = 3  # columns of the random w
+    # [m x d] shapes of 0 rows, one block, and several blocks of B // d rows
+    # (7 of one input, 2 of three, 1 of four or eleven), the last one short
+    SHAPES = [(0, 3), (1, 1), (2, 3), (7, 1), (9, 1), (5, 3), (3, 4), (2, 11)]
     # single grids, then the pair a bsrbf-kan layer sums
     GRIDS = [BSplineGrid(), BSplineGrid(3, 1, -0.5, 2.0), RBFGrid(),
              (BSplineGrid(5, 3, -1.5, 1.5), RBFGrid(8, -1.5, 1.5))]
@@ -272,6 +280,11 @@ class TestBasisExpand:
         pool = np.concatenate([special, rng.uniform(grid.lo - span, grid.hi + span, m * d)])
         return rng.permutation(pool[:m * d]).astype(np.float32).reshape(m, d)
 
+    def weights(self, shape, grids, requires_grad=True):
+        d, nb = shape[1], grids[0].num_basis
+        w = np.random.default_rng(5).uniform(-1, 1, (d * nb, self.O))
+        return Tensor(w, requires_grad=requires_grad)
+
     @staticmethod
     def summed(arrays):
         """The first float32 array plus each later one, as elementwise adds sum them."""
@@ -280,18 +293,76 @@ class TestBasisExpand:
             total = total + a
         return total
 
+    def blocks(self, x, grids):
+        """(rows, float64 inputs, float32 [rows x d*nb] expansion) per block of x."""
+        m, d = x.shape
+        step = max(1, self.B // d)
+        out = []
+        for r in range(0, m, step):
+            xb = x.data[r:r + step]
+            flat = xb.ravel().astype(np.float64)
+            e = self.summed([g.values(flat).astype(np.float32) for g in grids])
+            out.append((slice(r, r + step), flat, e.reshape(len(xb), -1)))
+        return out
+
+    def product(self, x, w, grids):
+        """The per-block expansion of x times w."""
+        want = np.zeros((x.shape[0], w.shape[1]), dtype=np.float32)
+        for rows, _, e in self.blocks(x, grids):
+            want[rows] = e @ w.data
+        return want
+
     @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_values_and_dx_equal_one_call_bit_for_bit(self, grid, shape):
+    def test_product_and_grads_equal_the_blockwise_product_bit_for_bit(self, grid, shape):
         grids = _grids(grid)
         m, d = shape
         nb = grids[0].num_basis
         x = Tensor(self.inputs(shape, grids[0]), requires_grad=True)
+        w = self.weights(shape, grids)
+        tape = Tape()
+        out = basis_expand(tape, x, w, *grids)
+        want = self.product(x, w, grids)
+        assert out.shape == (m, self.O) and out.data.tobytes() == want.tobytes()
+
+        r = np.random.default_rng(3).uniform(0.5, 1.5, (m, self.O)).astype(np.float32)
+        tape.backward(weighted_sum(tape, out, r))
+        # as Tensor._accumulate adds them: to zeros, the blocks' dw in turn
+        want_dx = np.zeros((m, d), dtype=np.float32)
+        want_dw = np.zeros_like(w.data)
+        other = np.zeros((m, d), dtype=np.float32)
+        for rows, flat, e in self.blocks(x, grids):
+            dvalues = (r[rows] @ w.data.T).reshape(-1, nb)
+            derivs = [g.values_and_derivs(flat)[1] for g in grids]
+            dx = [np.einsum("ij,ij->i", dvalues, dv).astype(np.float32) for dv in derivs]
+            want_dx[rows] += self.summed(dx).reshape(-1, d)
+            # the same float64 products summed in another order
+            other[rows] = self.summed([(dvalues * dv).sum(axis=1).astype(np.float32)
+                                       for dv in derivs]).reshape(-1, d)
+            want_dw += e.T @ r[rows]
+        assert x.grad.tobytes() == want_dx.tobytes()
+        assert w.grad.tobytes() == want_dw.tobytes()
+        # differ by float64 rounding only, which is below a float32 step
+        np.testing.assert_allclose(x.grad, other, rtol=2.0**-23, atol=0, equal_nan=True)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_values_and_dx_equal_one_call_bit_for_bit(self, grid, shape):
+        # with w the identity, the product is the expansion: one call per
+        # grid over all of x, on every row free of NaN (NaN * 0 fills a row)
+        grids = _grids(grid)
+        m, d = shape
+        nb = grids[0].num_basis
+        x = Tensor(self.inputs(shape, grids[0]), requires_grad=True)
+        eye = Tensor(np.eye(d * nb))
         flat = x.data.ravel().astype(np.float64)
         tape = Tape()
-        out = basis_expand(tape, x, *grids)
-        want = self.summed([g.values(flat).astype(np.float32) for g in grids])
-        assert out.shape == (m, d * nb) and out.data.tobytes() == want.tobytes()
+        out = basis_expand(tape, x, eye, *grids)
+        want = self.summed([g.values(flat).astype(np.float32) for g in grids]).reshape(m, d * nb)
+        clean = ~np.isnan(want).any(axis=1)
+        assert out.shape == (m, d * nb) and (m == 0 or not clean.all())  # each row set holds a NaN
+        assert out.data[clean].tobytes() == want[clean].tobytes()
+        assert np.isnan(out.data[~clean]).all()
 
         r = np.random.default_rng(3).uniform(0.5, 1.5, (m, d * nb)).astype(np.float32)
         tape.backward(weighted_sum(tape, out, r))
@@ -300,21 +371,16 @@ class TestBasisExpand:
         want_grad = np.zeros((m, d), dtype=np.float32)
         want_grad += self.summed(dx).reshape(m, d)  # as Tensor._accumulate adds it
         assert x.grad.tobytes() == want_grad.tobytes()
-        # the same float64 products summed in another order differ by float64
-        # rounding only, which is below a float32 step
-        other = self.summed([(r.reshape(m * d, nb) * dv).sum(axis=1).astype(np.float32)
-                             for dv in derivs])
-        np.testing.assert_allclose(x.grad.ravel(), other, rtol=2.0**-23, atol=0, equal_nan=True)
 
         # the path of one single-grid call per grid joined by elementwise adds
         # on one tape gives the same bits, forward and backward
         x_old = Tensor(x.data, requires_grad=True)
         old_tape = Tape()
-        old = basis_expand(old_tape, x_old, grids[0])
+        old = basis_expand(old_tape, x_old, eye, grids[0])
         for g in grids[1:]:
-            old = elementwise(old_tape, "add", old, basis_expand(old_tape, x_old, g))
+            old = elementwise(old_tape, "add", old, basis_expand(old_tape, x_old, eye, g))
         old_tape.backward(weighted_sum(old_tape, old, r))
-        assert out.data.tobytes() == old.data.tobytes()
+        assert out.data[clean].tobytes() == old.data[clean].tobytes()
         assert x.grad.tobytes() == x_old.grad.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
@@ -322,45 +388,118 @@ class TestBasisExpand:
     def test_derivatives_once_per_block_in_the_forward_pass(self, grid, shape, calls):
         grids = _grids(grid)
         m, d = shape
-        blocks = -(-m * d // self.B)
+        blocks = -(-m // max(1, self.B // d))
         x = Tensor(self.inputs(shape, grids[0]), requires_grad=True)
+        w = self.weights(shape, grids)
         tape = Tape()
-        out = basis_expand(tape, x, *grids)
+        out = basis_expand(tape, x, w, *grids)
         assert calls == ({f"{g.name}_{part}": blocks for g in grids
                           for part in ("values", "derivs")} if blocks else {})
         before = dict(calls)
         tape.backward(sum_all(tape, out))
         assert calls == before
-        assert x.grad.shape == (m, d)
+        assert x.grad.shape == (m, d) and w.grad.shape == w.shape
 
     @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
-    @pytest.mark.parametrize("grad", [False, True], ids=["no-grad", "grad"])
-    def test_no_derivatives_without_a_tape_or_a_grad(self, grid, grad, calls):
+    @pytest.mark.parametrize("taped,x_grad,w_grad", [(False, True, True), (True, False, True),
+                                                     (True, False, False)],
+                             ids=["no-tape", "no-x-grad", "no-grad"])
+    def test_no_derivatives_without_a_tape_or_a_grad(self, grid, taped, x_grad, w_grad, calls):
         grids = _grids(grid)
-        x = Tensor(self.inputs((2, 11), grids[0]), requires_grad=grad)
-        tape = None if grad else Tape()
-        out = basis_expand(tape, x, *grids)
-        assert calls == {f"{g.name}_values": 4 for g in grids}
-        flat = x.data.ravel().astype(np.float64)
-        want = self.summed([g.values(flat).astype(np.float32) for g in grids])
-        assert out.data.tobytes() == want.reshape(out.shape).tobytes()
+        shape = (5, 3)  # blocks of 2, 2 and 1 rows
+        x = Tensor(self.inputs(shape, grids[0]), requires_grad=x_grad)
+        w = self.weights(shape, grids, w_grad)
+        out = basis_expand(Tape() if taped else None, x, w, *grids)
+        assert calls == {f"{g.name}_values": 3 for g in grids}
+        assert out.data.tobytes() == self.product(x, w, grids).tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
-    def test_no_dx_for_an_input_without_grad(self, grid):
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x", "x-grad"])
+    @pytest.mark.parametrize("w_grad", [False, True], ids=["w", "w-grad"])
+    def test_grads_only_for_operands_that_require_them(self, grid, x_grad, w_grad):
         grids = _grids(grid)
+        shape = (5, 3)
+        x = Tensor(self.inputs(shape, grids[0]), requires_grad=x_grad)
+        w = self.weights(shape, grids, w_grad)
         tape = Tape()
-        out = basis_expand(tape, Tensor(self.inputs((2, 11), grids[0])), *grids)
-        output, _, backward_fn = tape._nodes[-1]
-        assert output is out and backward_fn(np.ones_like(out.data)) == (None,)
+        out = basis_expand(tape, x, w, *grids)
+        output, inputs, backward_fn = tape._nodes[-1]
+        assert output is out and inputs[0] is x and inputs[1] is w
+        dx, dw = backward_fn(np.ones_like(out.data))
+        assert (dx is None) != x_grad and (dw is None) != w_grad
+        assert dx is None or dx.shape == x.shape
+        assert dw is None or dw.shape == w.shape
 
     def test_no_grid_is_a_shape_error(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
         with pytest.raises(ShapeError, match="one or more grids"):
-            basis_expand(Tape(), Tensor(np.zeros((2, 3)), requires_grad=True))
+            basis_expand(Tape(), x, Tensor(np.zeros((0, 4))))
 
     def test_grids_of_different_sizes_are_a_shape_error(self):
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         with pytest.raises(ShapeError, match=r"of one size, got sizes \[8, 7\]"):
-            basis_expand(Tape(), x, BSplineGrid(5, 3), RBFGrid(7))
+            basis_expand(Tape(), x, Tensor(np.zeros((24, 4))), BSplineGrid(5, 3), RBFGrid(7))
+
+    @pytest.mark.parametrize("rows", [0, 23, 25, 3])
+    def test_w_of_the_wrong_row_count_is_a_shape_error(self, rows):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        with pytest.raises(ShapeError, match=rf"needs 24 rows of w, got \({rows}, 4\)"):
+            basis_expand(Tape(), x, Tensor(np.zeros((rows, 4))), BSplineGrid(5, 3))
+
+
+def _within(got, want, bound):
+    """got is want up to bound elementwise, NaN where want is NaN."""
+    assert got.shape == want.shape
+    assert (np.isnan(got) & np.isnan(want) | (np.abs(got - want) <= bound)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(0, 9), d=st.integers(1, 6), o=st.integers(1, 4),
+       grid=st.sampled_from(TestBasisExpand.GRIDS), block=st.integers(1, 20),
+       taped=st.booleans(), identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identity, seed):
+    """Any BLOCK gives the one-block product and grads within float32 GEMM
+    rounding; where w is the identity, the product and dx bit for bit."""
+    grids = _grids(grid)
+    nb = grids[0].num_basis
+    lo, hi = grids[0].lo, grids[0].hi
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(2 * lo - hi, 2 * hi - lo, (m, d))
+    special = rng.random((m, d)) < 0.1
+    x[special] = rng.choice([np.nan, np.inf, -np.inf, lo, hi], special.sum())
+    w = np.eye(d * nb) if identity else rng.uniform(-1, 1, (d * nb, o))
+    dout = rng.uniform(-1, 1, (m, w.shape[1])).astype(np.float32)
+
+    def run(rows_of_inputs):
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        tape = Tape() if taped else None
+        with mock.patch.object(tensor, "BLOCK", rows_of_inputs):
+            out = basis_expand(tape, xt, wt, *grids)
+        dx, dw = tape._nodes[-1][2](dout) if taped else (None, None)
+        return out.data, dx, dw, wt.data
+
+    out, dx, dw, w32 = run(block)
+    one_out, one_dx, one_dw, _ = run(tensor.BLOCK)  # m * d <= 54: one block
+    flat = x.astype(np.float32).ravel().astype(np.float64)
+    values, derivs = zip(*(g.values_and_derivs(flat) for g in grids))
+    e = np.abs(sum(values)).reshape(m, d * nb)
+    u = 2.0**-23  # two float32 results, each within k/2 steps of the exact sum of k terms
+    if identity:
+        clean = ~np.isnan(one_out).any(axis=1)
+        assert out[clean].tobytes() == one_out[clean].tobytes()
+        assert np.isnan(out[~clean]).all()
+    else:
+        _within(out, one_out, d * nb * u * (e @ np.abs(w32)))
+    if not taped:
+        return
+    if identity:
+        assert dx.tobytes() == one_dx.tobytes()
+    else:
+        dvalues = (o * u * (np.abs(dout) @ np.abs(w32).T)).reshape(m * d, nb)
+        casts = 2 * u * np.abs(one_dx).ravel()  # the cast to float32 and the grids' add
+        _within(dx, one_dx, (sum((dvalues * np.abs(g)).sum(axis=1) for g in derivs)
+                             + casts).reshape(m, d))
+    _within(dw, one_dw, m * u * (e.T @ np.abs(dout)))
 
 
 class TestBackward:

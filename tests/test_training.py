@@ -204,6 +204,13 @@ class TestMetrics:
         acc, f1 = evaluate(model, split)
         assert 0.0 <= acc <= 100.0 and 0.0 <= f1 <= 100.0
 
+    @pytest.mark.parametrize("batch_size", [-5, 0, 2.5, True])
+    def test_evaluate_rejects_a_bad_batch_size(self, batch_size):
+        # a negative size would run no forward pass and score uninitialised predictions
+        model = build_model(ModelConfig(kind="mlp", widths=(16, 8, 4)))
+        with pytest.raises(ConfigError, match="batch_size"):
+            evaluate(model, synthetic_split(n=64, d=16, classes=4), batch_size)
+
     def test_evaluate_on_an_empty_split_names_it(self):
         split = synthetic_split(n=0, d=16, classes=4, name="mnist/val")
         model = build_model(ModelConfig(kind="mlp", widths=(16, 8, 4)))
