@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime/data error, 2 usage error.
 
 import argparse
 import dataclasses
+import errno
 import glob
 import math
 import os
@@ -19,6 +20,7 @@ import time
 import urllib.request
 
 from . import __version__
+from .basis import count
 from .bench import bench_suite, format_table, machine_meta, write_csv
 from .data import DATASET_NAMES, SPLIT_FILES, load_dataset
 from .models import (
@@ -126,14 +128,10 @@ def cmd_params(args, parser) -> int:
         print(f"{f'layer {i}':<10} {sum(t.data.size for t in layer.values()):>10}")
     print(f"{'total':<10} {total:>10}")
     if args.expect is not None:
-        tolerance = args.expect * args.tolerance / 100.0
-        diff = abs(total - args.expect)
-        if diff > tolerance:
-            print(
-                f"expected {args.expect} ± {args.tolerance}% but counted {total} "
-                f"(off by {total - args.expect})",
-                file=sys.stderr,
-            )
+        tolerance = count("expect", args.expect, 0) * args.tolerance / 100.0
+        if abs(total - args.expect) > tolerance:
+            print(f"expected {args.expect} ± {args.tolerance}% but counted {total} "
+                  f"(off by {total - args.expect})", file=sys.stderr)
             return 1
         print(f"matches {args.expect} within {args.tolerance}% (off by {total - args.expect})")
     return 0
@@ -246,6 +244,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
+            # what writing --out would raise, before any work and without touching it
+            out = getattr(args, "out", None)
+            folder = os.path.dirname(out or "") or "."
+            if out and not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                code = errno.EACCES if os.path.isdir(folder) else errno.ENOENT
+                raise OSError(code, os.strerror(code), out)
             return args.run(args, args.parser)
         except ConfigError as e:  # a flag's value that its config rejects: a usage error
             args.parser.error(str(e))

@@ -12,6 +12,8 @@ records onto a new one. Each tape is single-threaded; independent tapes may
 run on separate threads.
 """
 
+import functools
+
 import numpy as np
 
 from . import kernels
@@ -242,10 +244,9 @@ def softmax_cross_entropy(tape, logits: Tensor, labels) -> Tensor:
     return _emit(tape, out, (logits,), bwd)
 
 
-def _sum_into(out, arrays):
-    """out = the first array, then out += each later one cast to float32."""
-    for i, a in enumerate(arrays):
-        out[...] = out + a.astype(np.float32) if i else a
+def _summed(arrays):
+    """Grid calls' float64 arrays added in order, each sum over the later one."""
+    return functools.reduce(lambda total, a: np.add(total, a, out=a), arrays)
 
 
 def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
@@ -255,11 +256,12 @@ def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
     of one size nb (BSplineGrid, RBFGrid), and a row to its d inputs' in turn:
     [1 x d*nb], matching the row layout of the spline weight matrices, so w
     is [d*nb x o]. Rows are expanded in blocks of BLOCK // d of them (at least
-    one): the grids are evaluated in float64 and summed into float32 with the
-    bits of elementwise adds of one call per grid, and the block times w fills
-    the block's output rows. Without a tape only one block's expansion exists
-    at a time. With one, each block's expansion is kept for dw if w requires
-    grad, and its float64 derivatives, from its values pass, for dx if x does.
+    one): the grids' float64 values are added in grid order and cast to
+    float32 once, and the block times w fills the block's output rows.
+    Without a tape only one block's expansion exists at a time. With one, if
+    w requires grad, the blocks fill one [m x d*nb] expansion, and dw is its
+    transpose times dout; if x requires grad, each block keeps its grids'
+    float64 derivatives, from its values pass and summed the same way, for dx.
     """
     if not grids or any(g.num_basis != grids[0].num_basis for g in grids):
         raise ShapeError("basis_expand sums one or more grids of one size, got sizes "
@@ -271,37 +273,32 @@ def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
                          f"needs {d * nb} rows of w, got {w.shape}")
     step = max(1, BLOCK // max(d, 1))
     grad_x = tape is not None and x.requires_grad
-    grad_w = tape is not None and w.requires_grad
-    kept = []  # per block with a grad: (rows, its expansion for dw, its derivatives for dx)
+    expansion = (np.empty((m, d * nb), dtype=np.float32)
+                 if tape is not None and w.requires_grad else None)
+    derivs = []  # per block, if x requires grad: its summed derivatives
     out = np.empty((m, w.shape[1]), dtype=np.float32)
     for r in range(0, m, step):
-        rows = slice(r, r + step)
-        xb = x.data[rows]
+        xb = x.data[r:r + step]
         flat = xb.reshape(-1).astype(np.float64)
-        values = np.empty((flat.size, nb), dtype=np.float32)
         if grad_x:
-            block_values, derivs = zip(*(g.values_and_derivs(flat) for g in grids))
+            values, dvalues = map(_summed, zip(*(g.values_and_derivs(flat) for g in grids)))
+            derivs.append(dvalues)
         else:
-            block_values, derivs = (g.values(flat) for g in grids), None
-        _sum_into(values, block_values)
-        block = values.reshape(len(xb), d * nb)
-        np.matmul(block, w.data, out=out[rows])
-        if grad_x or grad_w:
-            kept.append((rows, block if grad_w else None, derivs))
+            values = _summed(g.values(flat) for g in grids)
+        # allocated after the grid calls, so that it is not live during them
+        block = (np.empty((len(xb), d * nb), dtype=np.float32) if expansion is None
+                 else expansion[r:r + step])
+        block.reshape(-1, nb)[...] = values
+        np.matmul(block, w.data, out=out[r:r + step])
+        del values, block  # not held through the next block's grid calls
     out = Tensor(out)
 
     def bwd(dout):
         dx = np.empty((m, d), dtype=np.float32) if grad_x else None
-        dw = np.zeros_like(w.data) if grad_w and not kept else None  # no rows
-        for rows, block, derivs in kept:
-            if derivs is not None:
-                dvalues = (dout[rows] @ w.data.T).reshape(-1, nb)
-                _sum_into(dx[rows].reshape(-1),
-                          (np.einsum("ij,ij->i", dvalues, g) for g in derivs))
-            if block is not None:
-                part = block.T @ dout[rows]
-                dw = part if dw is None else np.add(dw, part, out=dw)
-        return dx, dw
+        for r, dvalues in zip(range(0, m, step), derivs):
+            dexp = (dout[r:r + step] @ w.data.T).reshape(-1, nb)
+            dx[r:r + step].reshape(-1)[...] = np.einsum("ij,ij->i", dexp, dvalues)
+        return dx, None if expansion is None else expansion.T @ dout
 
     return _emit(tape, out, (x, w), bwd)
 

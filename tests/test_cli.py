@@ -115,10 +115,32 @@ class TestUsageValidation:
         (["train", "--model", "mlp", "--combine", "product"],
          "--combine needs at least 2 functions"),
         (["params", "--model", "fc-kan"], "fc-kan needs between 1 and 4 functions"),
+        (["params", "--model", "mlp", "--expect", "-5"], "expect must be >= 0"),
     ])
     def test_bad_values_are_usage_errors(self, capsys, argv, message):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "mlp", "--epochs", "1", "--seeds", "0", "--quiet"],
+        ["bench", "--n", "1000", "--repeats", "3"],
+        ["report", "--inputs", "*.json"],
+    ], ids=lambda argv: argv[0])
+    def test_a_missing_out_directory_fails_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                           argv):
+        def called(*args, **kwargs):
+            raise AssertionError("ran before --out was checked")
+
+        for name in ("load_dataset", "bench_suite", "load_record"):
+            monkeypatch.setattr(f"fckan.cli.{name}", called)
+        monkeypatch.chdir(tmp_path)
+        fake_record("r.json")  # a record for report to load
+        out = tmp_path / "missing" / "out.json"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
 
 
 class TestBench:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bench_train_step import Kind
-from fckan import models
+from fckan import models, tensor
 from fckan.basis import BSplineGrid, RBFGrid, grid_record
 from fckan.models import (
     MODEL_KINDS,
@@ -381,9 +381,9 @@ class TestSplineForward:
     PEAK_CEILINGS_MIB = {
         "mlp": (6.21, 1.32),
         "fc-kan": (6.53, 3.47),
-        "efficient-kan": (17.43, 13.66),
-        "fast-kan": (12.79, 9.69),
-        "bsrbf-kan": (19.95, 21.59),
+        "efficient-kan": (13.33, 13.66),
+        "fast-kan": (10.24, 9.69),
+        "bsrbf-kan": (15.86, 20.34),
     }
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -413,6 +413,28 @@ class TestEndToEndGradients:
     def test_every_parameter_matches_fd(self, kind, kw):
         model = build_model(toy_config(kind, **kw))
         check_model_grads(model, X16, Y16, tol=1e-2)
+
+    @pytest.mark.parametrize("kind", ["efficient-kan", "bsrbf-kan"])
+    def test_a_step_over_several_blocks_matches_one_block(self, kind, monkeypatch):
+        # a batch of 200 at the paper's widths is three layer-0 blocks of
+        # BLOCK // 784 rows; a BLOCK of 200 * 784 inputs makes it one
+        m, d, nb = 200, 784, 8
+        assert -(-m // (tensor.BLOCK // d)) == 3
+        rng = np.random.default_rng(7)
+        xb, yb = rng.random((m, d), dtype=np.float32), rng.integers(0, 10, m)
+
+        def grads():
+            model = build_model(ModelConfig(kind=kind, seed=0))
+            tape = Tape()
+            tape.backward(softmax_cross_entropy(tape, model.forward(Tensor(xb), tape), yb))
+            return {p.name: p.tensor.grad for p in model.params}
+
+        blocked = grads()
+        monkeypatch.setattr(tensor, "BLOCK", m * d)
+        for name, want in grads().items():
+            # float32 GEMM rounding: a dot product of layer 0's d * nb terms
+            bound = d * nb * 2.0**-23 * np.abs(want).max()
+            assert np.abs(blocked[name] - want).max() <= bound, name
 
 
 @st.composite

@@ -239,10 +239,12 @@ class TestBasisExpand:
     """basis_expand(tape, x, w, *grids) expands x in blocks of BLOCK // d rows
     (at least one) and multiplies each block by w into its output rows. It
     must give the bits of that product written out block by block: one call
-    per grid over the block's inputs, summed as elementwise adds of their
-    float32 casts, times w. With a tape and an input that requires grad it
-    takes each block's derivatives in the forward pass, from that block's
-    values pass; otherwise it takes none."""
+    per grid over the block's inputs, their float64 values added in grid
+    order and cast to float32 once, times w. With a tape, dw is one product:
+    the whole expansion's transpose times dout. With a tape and an input that
+    requires grad it takes each block's derivatives in the forward pass, from
+    that block's values pass, and sums them as it sums the values; otherwise
+    it takes none."""
 
     B = 7
     O = 3  # columns of the random w
@@ -287,7 +289,7 @@ class TestBasisExpand:
 
     @staticmethod
     def summed(arrays):
-        """The first float32 array plus each later one, as elementwise adds sum them."""
+        """The first float64 array plus each later one, in grid order."""
         total = arrays[0]
         for a in arrays[1:]:
             total = total + a
@@ -301,7 +303,7 @@ class TestBasisExpand:
         for r in range(0, m, step):
             xb = x.data[r:r + step]
             flat = xb.ravel().astype(np.float64)
-            e = self.summed([g.values(flat).astype(np.float32) for g in grids])
+            e = self.summed([g.values(flat) for g in grids]).astype(np.float32)
             out.append((slice(r, r + step), flat, e.reshape(len(xb), -1)))
         return out
 
@@ -327,19 +329,21 @@ class TestBasisExpand:
 
         r = np.random.default_rng(3).uniform(0.5, 1.5, (m, self.O)).astype(np.float32)
         tape.backward(weighted_sum(tape, out, r))
-        # as Tensor._accumulate adds them: to zeros, the blocks' dw in turn
+        # as Tensor._accumulate adds them to zeros: the blocks' dx, and dw of
+        # the blocks' expansions put together
         want_dx = np.zeros((m, d), dtype=np.float32)
-        want_dw = np.zeros_like(w.data)
+        expansion = np.empty((m, d * nb), dtype=np.float32)
         other = np.zeros((m, d), dtype=np.float32)
         for rows, flat, e in self.blocks(x, grids):
             dvalues = (r[rows] @ w.data.T).reshape(-1, nb)
-            derivs = [g.values_and_derivs(flat)[1] for g in grids]
-            dx = [np.einsum("ij,ij->i", dvalues, dv).astype(np.float32) for dv in derivs]
-            want_dx[rows] += self.summed(dx).reshape(-1, d)
+            derivs = self.summed([g.values_and_derivs(flat)[1] for g in grids])
+            dx = np.einsum("ij,ij->i", dvalues, derivs).astype(np.float32)
+            want_dx[rows] += dx.reshape(-1, d)
             # the same float64 products summed in another order
-            other[rows] = self.summed([(dvalues * dv).sum(axis=1).astype(np.float32)
-                                       for dv in derivs]).reshape(-1, d)
-            want_dw += e.T @ r[rows]
+            other[rows] = (dvalues * derivs).sum(axis=1).astype(np.float32).reshape(-1, d)
+            expansion[rows] = e
+        want_dw = np.zeros_like(w.data)
+        want_dw += expansion.T @ r
         assert x.grad.tobytes() == want_dx.tobytes()
         assert w.grad.tobytes() == want_dw.tobytes()
         # differ by float64 rounding only, which is below a float32 step
@@ -358,7 +362,7 @@ class TestBasisExpand:
         flat = x.data.ravel().astype(np.float64)
         tape = Tape()
         out = basis_expand(tape, x, eye, *grids)
-        want = self.summed([g.values(flat).astype(np.float32) for g in grids]).reshape(m, d * nb)
+        want = self.summed([g.values(flat) for g in grids]).astype(np.float32).reshape(m, d * nb)
         clean = ~np.isnan(want).any(axis=1)
         assert out.shape == (m, d * nb) and (m == 0 or not clean.all())  # each row set holds a NaN
         assert out.data[clean].tobytes() == want[clean].tobytes()
@@ -366,22 +370,11 @@ class TestBasisExpand:
 
         r = np.random.default_rng(3).uniform(0.5, 1.5, (m, d * nb)).astype(np.float32)
         tape.backward(weighted_sum(tape, out, r))
-        derivs = [g.values_and_derivs(flat)[1] for g in grids]
-        dx = [np.einsum("ij,ij->i", r.reshape(m * d, nb), dv).astype(np.float32) for dv in derivs]
+        derivs = self.summed([g.values_and_derivs(flat)[1] for g in grids])
+        dx = np.einsum("ij,ij->i", r.reshape(m * d, nb), derivs).astype(np.float32)
         want_grad = np.zeros((m, d), dtype=np.float32)
-        want_grad += self.summed(dx).reshape(m, d)  # as Tensor._accumulate adds it
+        want_grad += dx.reshape(m, d)  # as Tensor._accumulate adds it
         assert x.grad.tobytes() == want_grad.tobytes()
-
-        # the path of one single-grid call per grid joined by elementwise adds
-        # on one tape gives the same bits, forward and backward
-        x_old = Tensor(x.data, requires_grad=True)
-        old_tape = Tape()
-        old = basis_expand(old_tape, x_old, eye, grids[0])
-        for g in grids[1:]:
-            old = elementwise(old_tape, "add", old, basis_expand(old_tape, x_old, eye, g))
-        old_tape.backward(weighted_sum(old_tape, old, r))
-        assert out.data[clean].tobytes() == old.data[clean].tobytes()
-        assert x.grad.tobytes() == x_old.grad.tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -458,8 +451,9 @@ def _within(got, want, bound):
        grid=st.sampled_from(TestBasisExpand.GRIDS), block=st.integers(1, 20),
        taped=st.booleans(), identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identity, seed):
-    """Any BLOCK gives the one-block product and grads within float32 GEMM
-    rounding; where w is the identity, the product and dx bit for bit."""
+    """Any BLOCK gives the one-block product and dx within float32 GEMM
+    rounding and dw bit for bit; where w is the identity, the product and dx
+    bit for bit too."""
     grids = _grids(grid)
     nb = grids[0].num_basis
     lo, hi = grids[0].lo, grids[0].hi
@@ -496,10 +490,11 @@ def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identi
         assert dx.tobytes() == one_dx.tobytes()
     else:
         dvalues = (o * u * (np.abs(dout) @ np.abs(w32).T)).reshape(m * d, nb)
-        casts = 2 * u * np.abs(one_dx).ravel()  # the cast to float32 and the grids' add
+        casts = u * np.abs(one_dx).ravel()  # each result's one cast to float32
         _within(dx, one_dx, (sum((dvalues * np.abs(g)).sum(axis=1) for g in derivs)
                              + casts).reshape(m, d))
-    _within(dw, one_dw, m * u * (e.T @ np.abs(dout)))
+    # the same expansion, whatever the blocks, times dout in one product
+    assert dw.tobytes() == one_dw.tobytes()
 
 
 class TestBackward:
