@@ -7,8 +7,8 @@ vector) and ``RBFGrid`` (Gaussian RBFs on uniformly spaced centers). A grid
 object is both the configuration a model holds, checks and saves and the
 evaluator its layers call. ``KINDS`` is the one table of basis kinds: every
 kind has a ``fckan bench`` row, and the paper's four fc-kan functions are the
-only ones trainable through ``tensor.apply_unary``. ``FCKAN_FUNCTIONS`` is
-the one view of it. The math lives in fckan.kernels.
+only ones trainable through ``tensor.apply_unary`` and ``tensor.unary_matmul``.
+``FCKAN_FUNCTIONS`` is the one view of it. The math lives in fckan.kernels.
 """
 
 import math
@@ -153,7 +153,7 @@ class KindUse:
     """Where one basis kind may be used."""
 
     bench: tuple  # input range of its `fckan bench` row
-    fckan: bool = False  # an fc-kan function (the paper's four), trainable by apply_unary
+    fckan: bool = False  # an fc-kan function (the paper's four), trainable by unary_matmul
     grid: type | None = None  # its grid family; None for an elementwise kind
 
 

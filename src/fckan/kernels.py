@@ -27,16 +27,18 @@ def _silu_deriv(x):
 
 
 # name -> (value, derivative): the basis kinds of fckan.basis.KINDS that are
-# elementwise, plus silu. relu'(0) = 0 by convention; tan and dog are only
-# benchmarked and have no derivative.
+# elementwise, plus silu. Each value function takes an optional out= array.
+# relu'(0) = 0 by convention; tan and dog are only benchmarked and have no
+# derivative.
 _UNARY = {
-    "relu": (lambda x: np.maximum(x, _ZERO), lambda x: (x > 0).astype(x.dtype)),
+    "relu": (lambda x, out=None: np.maximum(x, _ZERO, out=out),
+             lambda x: (x > 0).astype(x.dtype)),
     "sin": (np.sin, np.cos),
     "cos": (np.cos, lambda x: -np.sin(x)),
     "arctan": (np.arctan, lambda x: _ONE / (_ONE + x * x)),
     "tan": (np.tan, None),
-    "dog": (lambda x: -x * np.exp(-0.5 * x * x), None),
-    "silu": (lambda x: x * _sigmoid(x), _silu_deriv),
+    "dog": (lambda x, out=None: np.multiply(-x, np.exp(-0.5 * x * x), out=out), None),
+    "silu": (lambda x, out=None: np.multiply(x, _sigmoid(x), out=out), _silu_deriv),
 }
 
 
@@ -53,9 +55,10 @@ def _unary(name, which):
     return fn
 
 
-def unary_values(name, x):
-    """Apply the named elementwise function to a float32 array."""
-    return _unary(name, 0)(x)
+def unary_values(name, x, out=None):
+    """Apply the named elementwise function to a float32 array, into ``out``
+    if given."""
+    return _unary(name, 0)(x, out=out)
 
 
 def unary_derivs(name, x):

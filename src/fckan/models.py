@@ -10,9 +10,11 @@ The function-combining KAN (kind "fc-kan") runs the input through one
 shared-weight pass per elementwise function in its set and merges the
 per-function outputs elementwise (sum or product); because the linear
 weights are shared across passes, its parameter count equals the MLP's.
-Layer 0's layer norm sees the same input in every pass, so it is computed
-once and its output is shared by all of them; from layer 1 on, each pass
-normalises its own input.
+The passes are stacked by rows and each layer is one layer norm and one
+``unary_matmul``: layer 0 normalises the input once and every function reads
+it; from layer 1 on, row block f holds function f's pass, and the row-wise
+layer norm normalises all the blocks in one call. ``fold_rows`` merges the
+blocks in function order.
 
 Spline models expand inputs against a grid basis per layer:
 
@@ -38,18 +40,20 @@ from .tensor import (
     apply_unary,
     basis_expand,
     elementwise,
+    fold_rows,
     layer_norm,
     matmul,
     repeat_rows,
     silu,
+    unary_matmul,
 )
 
 CHECKPOINT_MAGIC = b"FCKN"
 CHECKPOINT_VERSION = 1
 
 
-# fc-kan combine method -> the elementwise op that merges two outputs
-COMBINE_OPS = {"sum": "add", "product": "mul"}
+# fc-kan combine method -> the ufunc fold_rows merges the passes' outputs by
+COMBINE_OPS = {"sum": np.add, "product": np.multiply}
 
 
 @dataclass(frozen=True)
@@ -193,34 +197,22 @@ def forward_mlp(model: Model, X: Tensor, tape=None) -> Tensor:
     return h
 
 
-def _fckan_pass(model: Model, h: Tensor, fn: str, tape) -> Tensor:
-    """One function's pass over the layer-normed input h of layer 0."""
-    for i, layer in enumerate(model.layers):
-        if i:  # from layer 1 on, each function's pass has its own input
-            h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
-        h = apply_unary(tape, fn, h)
-        h = matmul(tape, h, layer["weight"])
-    return h
-
-
 def forward_fckan(model: Model, X: Tensor, tape=None) -> Tensor:
     _check_input(model, X)
-    first = model.layers[0]
-    h = layer_norm(tape, X, first["ln_gamma"], first["ln_beta"])  # shared by every pass
-    outputs = [_fckan_pass(model, h, fn, tape) for fn in model.config.functions]
-    return combine_outputs(tape, outputs, model.config.combine)
+    fns = model.config.functions
+    h = X
+    for i, layer in enumerate(model.layers):
+        h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
+        h = unary_matmul(tape, fns, h, layer["weight"], shared=i == 0)
+    return combine_outputs(tape, h, len(fns), model.config.combine)
 
 
-def combine_outputs(tape, outputs, method: str) -> Tensor:
-    """Merge per-function outputs elementwise; identity for a single output."""
-    if not outputs:
-        raise ConfigError("combine_outputs needs at least one tensor")
+def combine_outputs(tape, stacked: Tensor, n: int, method: str) -> Tensor:
+    """Merge the n per-function row blocks of stacked elementwise, in order;
+    one block is stacked itself."""
     if not isinstance(method, str) or method not in COMBINE_OPS:
         raise ConfigError(f"combine must be one of {tuple(COMBINE_OPS)}: {method!r}")
-    merged = outputs[0]
-    for o in outputs[1:]:
-        merged = elementwise(tape, COMBINE_OPS[method], merged, o)
-    return merged
+    return fold_rows(tape, COMBINE_OPS[method], stacked, n)
 
 
 def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:

@@ -8,6 +8,7 @@ machine-specific, so smaller is the interesting extreme).
 """
 
 import json
+import math
 import time
 
 from . import __version__
@@ -64,10 +65,12 @@ def write_record(record: dict, path):
 
 def load_record(path) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             record = json.load(f)
     except json.JSONDecodeError as e:
         raise ReportError(f"{path}: not valid JSON ({e})") from None
+    except UnicodeDecodeError as e:
+        raise ReportError(f"{path}: not UTF-8 text ({e})") from None
     if not isinstance(record, dict):
         raise ReportError(f"{path}: a record is a JSON object, got {type(record).__name__}")
     missing = [k for k in RECORD_KEYS if k not in record]
@@ -76,12 +79,19 @@ def load_record(path) -> dict:
     try:
         _table_row(record)
     except (KeyError, TypeError, ValueError) as e:
-        raise ReportError(f"{path}: missing or non-numeric field ({e!r})") from None
+        raise ReportError(f"{path}: missing, non-numeric or non-finite field ({e!r})") from None
     return record
 
 
 def _cell(mean: float, std: float) -> str:
     return f"{mean:.2f} ± {std:.2f}"
+
+
+def _finite(value, field: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{field} is {x}")
+    return x
 
 
 def _table_row(record: dict) -> dict:
@@ -90,9 +100,9 @@ def _table_row(record: dict) -> dict:
     return {
         "dataset": record["train"]["dataset"],
         "model": model_label(record["model"]),
-        **{k: (float(agg[k]["mean"]), float(agg[k]["std"]))
+        **{k: (_finite(agg[k]["mean"], f"{k}.mean"), _finite(agg[k]["std"], f"{k}.std"))
            for k in ("train_acc", "val_acc", "f1")},
-        "time": float(agg["wall_seconds_mean"]),
+        "time": _finite(agg["wall_seconds_mean"], "wall_seconds_mean"),
     }
 
 

@@ -13,6 +13,7 @@ run on separate threads.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -24,6 +25,13 @@ from .basis import FCKAN_FUNCTIONS, ConfigError
 # temporaries and its float32 expansion to a few MiB each instead of some 50
 # and 25 MiB.
 BLOCK = 1 << 16
+
+# Most inputs per block of rows of unary_matmul's function values when none
+# are kept for a gradient: a batch-1000 layer 0 runs through one 1.5 MiB
+# scratch in two blocks of 500 rows, and that forward's peak stays under
+# layer norm's own. Three blocks of 334 rows made that forward 2-4% slower,
+# and BLOCK's 83-row blocks 14% (2 CPUs, OpenBLAS at 2 threads).
+UNARY_BLOCK = 1 << 19
 
 # layer_norm's variance guard, in the float32 its rows are normalised in
 LN_EPS = np.float32(1e-5)
@@ -141,6 +149,100 @@ def apply_unary(tape, name: str, x: Tensor) -> Tensor:
     if name not in FCKAN_FUNCTIONS:
         raise ConfigError(f"apply_unary supports {FCKAN_FUNCTIONS}, got {name!r}")
     return _unary(tape, name, x)
+
+
+def unary_matmul(tape, names, x: Tensor, w: Tensor, shared: bool = False) -> Tensor:
+    """n = len(names) fc-kan functions, each followed by one weight: row block
+    f of the [n*m x o] result is names[f](x_f) @ w.
+
+    x_f is x itself, [m x d], read by every function, if ``shared``; else x
+    is [n*m x d] and x_f its row block f. Without a tape, or when w needs no
+    gradient, the values go through one reused scratch of UNARY_BLOCK inputs,
+    a block of rows at a time. Otherwise all n*m rows of values are kept, and
+    dw is one product of them with dout. dx is the rows of dout @ w.T times
+    each function's analytic derivative; a shared x sums them, the last
+    function's first.
+    """
+    if not names or any(f not in FCKAN_FUNCTIONS for f in names):
+        raise ConfigError(f"unary_matmul takes one or more of {FCKAN_FUNCTIONS}, "
+                          f"got {names!r}")
+    n = len(names)
+    rows, d = x.shape
+    if w.shape[0] != d:
+        raise ShapeError(f"unary_matmul of {d} features needs {d} rows of w, got {w.shape}")
+    if not shared and rows % n:
+        raise ShapeError(f"{rows} rows of x do not stack {n} functions' inputs")
+    m = rows if shared else rows // n
+    xs = [x.data] * n if shared else x.data.reshape(n, m, d)
+    out = np.empty((n * m, w.shape[1]), dtype=np.float32)
+    values = (np.empty((n * m, d), dtype=np.float32)
+              if tape is not None and w.requires_grad else None)
+    if values is not None:
+        for name, xf, vf in zip(names, xs, values.reshape(n, m, d)):
+            kernels.unary_values(name, xf, out=vf)
+        np.matmul(values, w.data, out=out)
+    else:
+        # the fewest blocks of at most UNARY_BLOCK inputs, their rows split
+        # evenly: a short last block makes a slower last product
+        k = max(1, -(-m // max(1, UNARY_BLOCK // max(d, 1))))
+        bounds = [m * i // k for i in range(k + 1)]
+        scratch = np.empty(-(-m // k) * d, dtype=np.float32)
+        for name, xf, of in zip(names, xs, out.reshape(n, m, w.shape[1])):
+            for a, b in zip(bounds, bounds[1:]):
+                vb = scratch[:(b - a) * d].reshape(b - a, d)
+                kernels.unary_values(name, xf[a:b], out=vb)
+                np.matmul(vb, w.data, out=of[a:b])
+    out = Tensor(out)
+
+    def bwd(dout):
+        dx = None
+        if x.requires_grad:
+            dx = dout @ w.data.T
+            grads = dx.reshape(n, m, d)
+            for name, xf, g in zip(names, xs, grads):
+                np.multiply(g, kernels.unary_derivs(name, xf), out=g)
+            if shared:  # in the order one op per function would add them on a tape
+                dx = grads[-1]
+                for g in grads[-2::-1]:
+                    dx += g
+        return dx, None if values is None else values.T @ dout
+
+    return _emit(tape, out, (x, w), bwd)
+
+
+def fold_rows(tape, op, x: Tensor, n: int) -> Tensor:
+    """The left fold ((x_0 op x_1) op x_2) ... of the n row blocks x_f of
+    [n*m x c] x, giving [m x c]; op is np.add or np.multiply.
+
+    One block is x itself, with nothing recorded. A product's backward gives
+    block f the suffix product of dout and the blocks after f times the
+    prefix product of the blocks before f, each built in fold order.
+    """
+    if op is not np.add and op is not np.multiply:
+        raise ConfigError(f"fold_rows op must be np.add or np.multiply, got {op!r}")
+    if n < 1:
+        raise ConfigError(f"fold_rows needs one or more row blocks, got {n}")
+    if x.shape[0] % n:
+        raise ShapeError(f"{x.shape[0]} rows do not split into {n} blocks")
+    if n == 1:
+        return x
+    shape = (n, x.shape[0] // n, x.shape[1])
+    blocks = x.data.reshape(shape)
+    prefix = list(itertools.accumulate(blocks, op))
+    out = Tensor(prefix[-1])
+
+    def bwd(dout):
+        if op is np.add:
+            return (np.tile(dout, (n, 1)),)
+        dx = np.empty_like(x.data)
+        grads = dx.reshape(shape)
+        for f in range(n - 1, 0, -1):
+            np.multiply(dout, prefix[f - 1], out=grads[f])
+            dout = dout * blocks[f]
+        grads[0] = dout
+        return (dx,)
+
+    return _emit(tape, out, (x,), bwd)
 
 
 def silu(tape, x: Tensor) -> Tensor:

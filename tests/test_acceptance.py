@@ -190,10 +190,11 @@ class TestC6PropertySuite:
         X = Tensor(np.random.default_rng(1).uniform(-1, 1, (3, 16)).astype(np.float32))
         single = build_model(ModelConfig(kind="fc-kan", widths=(16, 8, 4),
                                          functions=("sin",)))
-        assert combine_outputs(None, [X], "sum") is X
-        ones = Tensor(np.ones((3, 16), dtype=np.float32))
+        assert combine_outputs(None, X, 1, "sum") is X
+        ones = np.ones((3, 16), dtype=np.float32)
         assert np.array_equal(
-            combine_outputs(None, [X, ones], "product").data, X.data
+            combine_outputs(None, Tensor(np.concatenate([X.data, ones])), 2,
+                            "product").data, X.data
         )
         dup = build_model(ModelConfig(kind="fc-kan", widths=(16, 8, 4),
                                       functions=("sin", "sin")))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -201,6 +202,13 @@ class TestReport:
         assert rc == 1
         assert "bad.json" in capsys.readouterr().err
 
+    def test_undecodable_bytes_name_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"model": "\xff"}')
+        assert main(["report", "--inputs", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "latin.json" in err and "UTF-8" in err
+
     def test_record_that_is_not_an_object_fails(self, tmp_path, capsys):
         bad = tmp_path / "three.json"
         bad.write_text("3")
@@ -213,7 +221,11 @@ class TestReport:
         ("val_acc", {"mean": 97.0}),
         ("val_acc", {"mean": "high", "std": 0.5}),
         ("wall_seconds_mean", [1.0]),
-    ], ids=["missing", "missing-std", "string-mean", "list-time"])
+        ("val_acc", {"mean": math.nan, "std": 0.5}),
+        ("f1", {"mean": 90.0, "std": math.inf}),
+        ("wall_seconds_mean", -math.inf),
+    ], ids=["missing", "missing-std", "string-mean", "list-time", "nan-mean", "inf-std",
+            "inf-time"])
     def test_malformed_nested_field_fails(self, tmp_path, capsys, field, value):
         path = tmp_path / "a.json"
         fake_record(path)
@@ -225,7 +237,7 @@ class TestReport:
         path.write_text(json.dumps(record))
         assert main(["report", "--inputs", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and "Traceback" not in err and "a.json" in err
 
     def test_malformed_record_is_named_by_its_file(self, tmp_path, capsys):
         fake_record(tmp_path / "a.json")

@@ -1,8 +1,9 @@
+import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fckan import kernels, tensor
@@ -16,10 +17,12 @@ from fckan.tensor import (
     apply_unary,
     basis_expand,
     elementwise,
+    fold_rows,
     layer_norm,
     matmul,
     silu,
     softmax_cross_entropy,
+    unary_matmul,
 )
 from gradcheck import check_grads, sum_all, weighted_sum
 
@@ -495,6 +498,140 @@ def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identi
                              + casts).reshape(m, d))
     # the same expansion, whatever the blocks, times dout in one product
     assert dw.tobytes() == one_dw.tobytes()
+
+
+FCKAN_FNS = ("sin", "cos", "arctan", "relu")
+
+
+def _per_function(names, x, w, shared, dout):
+    """apply_unary then matmul per function, on one tape whose loss gives each
+    output its rows of dout: the stacked outputs, dx and dw."""
+    n = len(names)
+    m = x.shape[0] if shared else x.shape[0] // n
+    tape = Tape()
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    xs = [xt] * n if shared else [Tensor(x[f * m:(f + 1) * m], requires_grad=True)
+                                  for f in range(n)]
+    outs = [matmul(tape, apply_unary(tape, name, xf), wt) for name, xf in zip(names, xs)]
+    losses = [weighted_sum(tape, o, dout[f * m:(f + 1) * m]) for f, o in enumerate(outs)]
+    tape.backward(functools.reduce(lambda a, b: elementwise(tape, "add", a, b), losses))
+    dx = xt.grad if shared else np.concatenate([xf.grad for xf in xs])
+    return np.concatenate([o.data for o in outs]), dx, wt.grad
+
+
+@settings(max_examples=80, deadline=None)
+@given(names=st.lists(st.sampled_from(FCKAN_FNS), min_size=1, max_size=4),
+       m=st.integers(0, 9), d=st.integers(1, 6), o=st.integers(1, 4),
+       shared=st.booleans(), block=st.integers(1, 30), identity=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# an untaped batch of 9 rows in five scratch blocks of 1 or 2 rows
+@example(names=list(FCKAN_FNS), m=9, d=3, o=2, shared=True, block=7, identity=False, seed=0)
+@example(names=list(FCKAN_FNS), m=9, d=3, o=3, shared=False, block=7, identity=True, seed=1)
+def test_unary_matmul_matches_one_op_per_function(names, m, d, o, shared, block, identity,
+                                                  seed):
+    """Untaped in scratch blocks of any UNARY_BLOCK, and taped, the outputs are
+    the per-function ops', and so are dx and dw, within float32 GEMM rounding;
+    where w is the identity, the outputs and dx bit for bit."""
+    n = len(names)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-4, 4, (m if shared else n * m, d)).astype(np.float32)
+    w = np.eye(d, dtype=np.float32) if identity else rng.uniform(-1, 1, (d, o)).astype(np.float32)
+    dout = rng.uniform(-1, 1, (n * m, w.shape[1])).astype(np.float32)
+    ref_out, ref_dx, ref_dw = _per_function(names, x, w, shared, dout)
+
+    with mock.patch.object(tensor, "UNARY_BLOCK", block):
+        untaped = unary_matmul(None, names, Tensor(x), Tensor(w, requires_grad=True), shared)
+    tape = Tape()
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = unary_matmul(tape, names, xt, wt, shared)
+    tape.backward(weighted_sum(tape, out, dout))
+    assert untaped.shape == out.shape == ref_out.shape
+
+    xs = [x] * n if shared else np.split(x, n)
+    values = np.concatenate([kernels.unary_values(f, xf) for f, xf in zip(names, xs)])
+    derivs = [np.abs(kernels.unary_derivs(f, xf)) for f, xf in zip(names, xs)]
+    u = 2.0**-23  # two float32 results, each within k/2 steps of the exact sum of k terms
+    if identity:
+        assert untaped.data.tobytes() == out.data.tobytes() == ref_out.tobytes()
+        assert xt.grad.tobytes() == ref_dx.tobytes()
+    else:
+        bound = d * u * (np.abs(values) @ np.abs(w))
+        _within(untaped.data, ref_out, bound)
+        _within(out.data, ref_out, bound)
+        # each function's rows of dout @ w.T, times its derivative, summed over
+        # the functions if x is shared
+        terms = [(np.abs(g) @ np.abs(w).T) * df for g, df in zip(np.split(dout, n), derivs)]
+        scale = sum(terms) if shared else np.concatenate(terms)
+        _within(xt.grad, ref_dx, (o + n + 1) * u * scale)
+    _within(wt.grad, ref_dw, n * m * u * (np.abs(values).T @ np.abs(dout)))
+
+
+class TestUnaryMatmul:
+    def test_a_name_outside_the_fckan_functions_is_a_config_error(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 1)))
+        for names in (("sin", "tan"), ("silu",), ()):
+            with pytest.raises(ConfigError, match="unary_matmul takes"):
+                unary_matmul(None, names, x, w)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_w_of_the_wrong_row_count_is_a_shape_error(self, shared):
+        with pytest.raises(ShapeError, match=r"3 features needs 3 rows of w, got \(4, 1\)"):
+            unary_matmul(None, ("sin", "cos"), Tensor(np.zeros((2, 3))),
+                         Tensor(np.zeros((4, 1))), shared)
+
+    def test_stacked_rows_must_split_into_one_block_per_function(self):
+        with pytest.raises(ShapeError, match="3 rows of x"):
+            unary_matmul(None, ("sin", "cos"), Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1))))
+
+    def test_untaped_values_go_through_one_scratch_block_at_a_time(self, monkeypatch):
+        # UNARY_BLOCK of 7 over 3 inputs a row: blocks of at most 2 rows, the
+        # fewest of them, 3 per function, with 5 rows split evenly
+        monkeypatch.setattr(tensor, "UNARY_BLOCK", 7)
+        seen, values = [], kernels.unary_values
+
+        def recorded(name, x, out=None):
+            seen.append((name, x.shape, out.__array_interface__["data"][0]))
+            return values(name, x, out=out)
+
+        monkeypatch.setattr(kernels, "unary_values", recorded)
+        unary_matmul(None, ("sin", "relu"), Tensor(np.ones((5, 3))), Tensor(np.ones((3, 2))),
+                     shared=True)
+        assert [(name, shape) for name, shape, _ in seen] == [
+            (f, s) for f in ("sin", "relu") for s in ((1, 3), (2, 3), (2, 3))]
+        assert len({at for _, _, at in seen}) == 1
+
+
+class TestFoldRows:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("op,name", [(np.add, "add"), (np.multiply, "mul")])
+    def test_forward_and_grads_are_the_bits_of_a_chain_of_elementwise_ops(self, n, op, name):
+        rng = np.random.default_rng(n)
+        blocks = [rng.uniform(-2, 2, (3, 4)).astype(np.float32) for _ in range(n)]
+        r = rng.uniform(-1, 1, (3, 4)).astype(np.float32)
+        parts = [Tensor(b, requires_grad=True) for b in blocks]
+        chain_tape = Tape()
+        chain = functools.reduce(lambda a, b: elementwise(chain_tape, name, a, b), parts)
+        chain_tape.backward(weighted_sum(chain_tape, chain, r))
+        x = Tensor(np.concatenate(blocks), requires_grad=True)
+        tape = Tape()
+        out = fold_rows(tape, op, x, n)
+        tape.backward(weighted_sum(tape, out, r))
+        assert out.data.tobytes() == chain.data.tobytes()
+        assert x.grad.tobytes() == np.concatenate([p.grad for p in parts]).tobytes()
+
+    def test_one_block_is_x_itself_and_records_nothing(self):
+        x, tape = Tensor(np.ones((2, 3)), requires_grad=True), Tape()
+        assert fold_rows(tape, np.multiply, x, 1) is x
+        assert len(tape) == 0
+
+    def test_bad_op_or_block_count(self):
+        x = Tensor(np.ones((4, 3)))
+        with pytest.raises(ConfigError, match="np.add or np.multiply"):
+            fold_rows(None, np.subtract, x, 2)
+        with pytest.raises(ConfigError, match="one or more row blocks"):
+            fold_rows(None, np.add, x, 0)
+        with pytest.raises(ShapeError, match="4 rows do not split into 3 blocks"):
+            fold_rows(None, np.add, x, 3)
 
 
 class TestBackward:
