@@ -29,8 +29,7 @@ from .models import (
     ModelConfig,
     MODEL_KINDS,
     MODELS,
-    build_model,
-    count_params,
+    param_shapes,
 )
 from .report import ReportError, load_record, make_record, render_report, write_record
 from .training import TrainConfig, TrainingDiverged, run_experiment
@@ -122,10 +121,12 @@ def cmd_bench(args, parser) -> int:
 
 def cmd_params(args, parser) -> int:
     model_cfg = _model_config(args, parser)
-    model = build_model(model_cfg)
-    total = count_params(model)
-    for i, layer in enumerate(model.layers):
-        print(f"{f'layer {i}':<10} {sum(t.data.size for t in layer.values()):>10}")
+    layers = [0] * (len(model_cfg.widths) - 1)
+    for i, _, (rows, cols), _ in param_shapes(model_cfg):  # counted with no model built
+        layers[i] += rows * cols
+    total = sum(layers)
+    for i, size in enumerate(layers):
+        print(f"{f'layer {i}':<10} {size:>10}")
     print(f"{'total':<10} {total:>10}")
     if args.expect is not None:
         tolerance = count("expect", args.expect, 0) * args.tolerance / 100.0

@@ -27,6 +27,7 @@ where B is the B-spline expansion and R the Gaussian RBF expansion.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -141,37 +142,49 @@ class Model:
         return MODELS[self.config.kind].forward(self, X, tape)
 
 
-def _uniform_weight(rng, fan_in: int, fan_out: int, scale: float = 1.0) -> np.ndarray:
-    # Kaiming-uniform, fan-in mode; spline weights pass scale=0.1
-    bound = scale / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(np.float32)
-
-
-# layer parameter -> (initial value from (rng, d_in, d_out, basis functions
-# per input), weight decay)
+# layer parameter -> (shape from (d_in, d_out, basis functions per input),
+# initial value: np.ones, np.zeros, or the scale of a Kaiming-uniform draw
+# with fan-in = rows, weight decay)
 LAYER_PARAMS = {
-    "ln_gamma": (lambda rng, i, o, nb: np.ones((1, i), dtype=np.float32), False),
-    "ln_beta": (lambda rng, i, o, nb: np.zeros((1, i), dtype=np.float32), False),
-    "weight": (lambda rng, i, o, nb: _uniform_weight(rng, i, o), True),
-    "base_weight": (lambda rng, i, o, nb: _uniform_weight(rng, i, o), True),
-    "spline_weight": (lambda rng, i, o, nb: _uniform_weight(rng, i * nb, o, 0.1), True),
-    "spline_scaler": (lambda rng, i, o, nb: _uniform_weight(rng, i, o), True),
+    "ln_gamma": (lambda i, o, nb: (1, i), np.ones, False),
+    "ln_beta": (lambda i, o, nb: (1, i), np.zeros, False),
+    "weight": (lambda i, o, nb: (i, o), 1.0, True),
+    "base_weight": (lambda i, o, nb: (i, o), 1.0, True),
+    "spline_weight": (lambda i, o, nb: (i * nb, o), 0.1, True),
+    "spline_scaler": (lambda i, o, nb: (i, o), 1.0, True),
 }
+
+
+def param_shapes(config: ModelConfig) -> list:
+    """(layer, name, shape, decay) of every parameter, in initialization order:
+    the layout that building, loading and counting share."""
+    nb = config.spline.num_basis if config.spline is not None else 0
+    return [(i, name, LAYER_PARAMS[name][0](d_in, d_out, nb), LAYER_PARAMS[name][2])
+            for i, (d_in, d_out) in enumerate(zip(config.widths[:-1], config.widths[1:]))
+            for name in MODELS[config.kind].params]
+
+
+def _assemble(config: ModelConfig, arrays) -> Model:
+    """The model whose parameters, in param_shapes order, hold arrays."""
+    model = Model(config=config, layers=[{} for _ in config.widths[1:]])
+    for (i, name, _, decay), data in zip(param_shapes(config), arrays):
+        t = model.layers[i][name] = Tensor(data, requires_grad=True)
+        model.params.append(Param(f"layer{i}.{name}", t, decay))
+    return model
 
 
 def build_model(config: ModelConfig) -> Model:
     """Deterministically initialize a model from its config and seed."""
     rng = np.random.default_rng(config.seed)
-    model = Model(config=config)
-    nb = config.spline.num_basis if config.spline is not None else 0
-    for d_in, d_out in zip(config.widths[:-1], config.widths[1:]):
-        layer = {}
-        for name in MODELS[config.kind].params:
-            init, decay = LAYER_PARAMS[name]
-            layer[name] = Tensor(init(rng, d_in, d_out, nb), requires_grad=True)
-            model.params.append(Param(f"layer{len(model.layers)}.{name}", layer[name], decay))
-        model.layers.append(layer)
-    return model
+
+    def init(name, shape):
+        value = LAYER_PARAMS[name][1]
+        if callable(value):
+            return value(shape, dtype=np.float32)
+        bound = value / math.sqrt(shape[0])
+        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
+
+    return _assemble(config, (init(name, shape) for _, name, shape, _ in param_shapes(config)))
 
 
 def count_params(model: Model) -> int:
@@ -275,15 +288,23 @@ def save_model(model: Model, path):
             f.write(p.tensor.data.astype("<f4", copy=False).tobytes())
 
 
+def _left(f) -> int:
+    """Bytes from f's position to the end of its file."""
+    return os.fstat(f.fileno()).st_size - f.tell()
+
+
 def _read_exact(f, size: int, what: str) -> bytes:
-    raw = f.read(size)
-    if len(raw) != size:
-        raise CheckpointError(f"truncated checkpoint: {what} needs {size} bytes, got {len(raw)}")
-    return raw
+    # checked against the file's length first, so that a size a file claims
+    # allocates nothing
+    if _left(f) < size:
+        raise CheckpointError(f"truncated checkpoint: {what} needs {size} bytes, "
+                              f"got {_left(f)}")
+    return f.read(size)
 
 
 def load_model(path) -> Model:
-    """Rebuild a model from a checkpoint written by save_model."""
+    """Read back a model that save_model wrote: every length is checked against
+    the file before anything is allocated, and no model is built."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -297,15 +318,22 @@ def load_model(path) -> Model:
             config = ModelConfig.from_dict(json.loads(blob.decode("utf-8")))
         except ValueError as e:  # undecodable JSON or an invalid config
             raise CheckpointError(f"bad config in checkpoint: {e}") from None
-        model = build_model(config)
-        for p in model.params:
-            rows, cols = struct.unpack("<II", _read_exact(f, 8, f"{p.name} shape"))
-            if (rows, cols) != p.tensor.shape:
-                raise CheckpointError(
-                    f"{p.name}: stored shape {(rows, cols)} != expected {p.tensor.shape}"
-                )
-            raw = _read_exact(f, rows * cols * 4, f"{p.name} data")
-            p.tensor.data = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
-        if f.read(1):
-            raise CheckpointError("trailing bytes after final tensor")
-    return model
+        shapes = param_shapes(config)
+        left, need = _left(f), sum(8 + 4 * rows * cols for _, _, (rows, cols), _ in shapes)
+        if left != need:
+            raise CheckpointError(f"{'truncated' if left < need else 'trailing bytes in'} "
+                                  f"checkpoint: its config's tensors need {need} bytes, "
+                                  f"the file holds {left}")
+        arrays = []
+        for i, name, shape, _ in shapes:
+            what = f"layer{i}.{name}"
+            stored = struct.unpack("<II", _read_exact(f, 8, f"{what} shape"))
+            if stored != shape:
+                raise CheckpointError(f"{what}: stored shape {stored} != expected {shape}")
+            data = np.empty(shape, dtype="<f4")
+            if f.readinto(data) != data.nbytes:  # the file shrank since its length was read
+                raise CheckpointError(f"truncated checkpoint: {what} data")
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{what}: stored values are not all finite")
+            arrays.append(data)
+    return _assemble(config, arrays)

@@ -20,23 +20,27 @@ import numpy as np
 from . import kernels
 from .basis import FCKAN_FUNCTIONS, ConfigError
 
-# Inputs per block of rows in basis_expand: the paper's batch-64 layer 0
-# (50,176 inputs) is one block, and a batch of 1000 keeps its float64
-# temporaries and its float32 expansion to a few MiB each instead of some 50
-# and 25 MiB.
-BLOCK = 1 << 16
-
-# Most inputs per block of rows of unary_matmul's function values when none
-# are kept for a gradient: a batch-1000 layer 0 runs through one 1.5 MiB
-# scratch in two blocks of 500 rows, and that forward's peak stays under
-# layer norm's own. Three blocks of 334 rows made that forward 2-4% slower,
-# and BLOCK's 83-row blocks 14% (2 CPUs, OpenBLAS at 2 threads).
-UNARY_BLOCK = 1 << 19
+# Most float32 values that one block of rows holds: of basis_expand's
+# expansion (d * nb a row) or of unary_matmul's untaped function values (d a
+# row). At the paper's nb = 8 a spline kind's layer 0 takes at most 83 rows a
+# block, so the paper's batch of 64 is one block and a batch of 1000 thirteen;
+# a batch-1000 layer 0 of fc-kan runs through one 1.5 MiB scratch in two
+# blocks of 500 rows, and that forward's peak stays under layer norm's own.
+# Three blocks of 334 rows made that forward 2-4% slower, and 83-row blocks
+# 14% (2 CPUs, OpenBLAS at 2 threads).
+BLOCK = 1 << 19
 
 # layer_norm's variance guard, in the float32 its rows are normalised in
 LN_EPS = np.float32(1e-5)
 
 _ZERO = np.float32(0.0)
+
+
+def _row_blocks(m: int, per_row: int) -> list:
+    """(start, stop) of the fewest blocks of at most BLOCK // per_row rows (at
+    least one) over m rows, split evenly: a short block makes a slower product."""
+    k = -(-m // max(1, BLOCK // max(per_row, 1)))
+    return [(m * i // k, m * (i + 1) // k) for i in range(k)]
 
 
 class ShapeError(ValueError):
@@ -157,9 +161,9 @@ def unary_matmul(tape, names, x: Tensor, w: Tensor, shared: bool = False) -> Ten
 
     x_f is x itself, [m x d], read by every function, if ``shared``; else x
     is [n*m x d] and x_f its row block f. Without a tape, or when w needs no
-    gradient, the values go through one reused scratch of UNARY_BLOCK inputs,
-    a block of rows at a time. Otherwise all n*m rows of values are kept, and
-    dw is one product of them with dout. dx is the rows of dout @ w.T times
+    gradient, the values go through one reused scratch of at most BLOCK
+    values, a block of rows at a time. Otherwise all n*m rows of values are
+    kept, and dw is one product of them with dout. dx is the rows of dout @ w.T times
     each function's analytic derivative; a shared x sums them, the last
     function's first.
     """
@@ -182,13 +186,10 @@ def unary_matmul(tape, names, x: Tensor, w: Tensor, shared: bool = False) -> Ten
             kernels.unary_values(name, xf, out=vf)
         np.matmul(values, w.data, out=out)
     else:
-        # the fewest blocks of at most UNARY_BLOCK inputs, their rows split
-        # evenly: a short last block makes a slower last product
-        k = max(1, -(-m // max(1, UNARY_BLOCK // max(d, 1))))
-        bounds = [m * i // k for i in range(k + 1)]
-        scratch = np.empty(-(-m // k) * d, dtype=np.float32)
+        blocks = _row_blocks(m, d)
+        scratch = np.empty(max((b - a for a, b in blocks), default=0) * d, dtype=np.float32)
         for name, xf, of in zip(names, xs, out.reshape(n, m, w.shape[1])):
-            for a, b in zip(bounds, bounds[1:]):
+            for a, b in blocks:
                 vb = scratch[:(b - a) * d].reshape(b - a, d)
                 kernels.unary_values(name, xf[a:b], out=vb)
                 np.matmul(vb, w.data, out=of[a:b])
@@ -357,9 +358,10 @@ def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
     Each input expands to the sum of its basis vectors on one or more grids
     of one size nb (BSplineGrid, RBFGrid), and a row to its d inputs' in turn:
     [1 x d*nb], matching the row layout of the spline weight matrices, so w
-    is [d*nb x o]. Rows are expanded in blocks of BLOCK // d of them (at least
-    one): the grids' float64 values are added in grid order and cast to
-    float32 once, and the block times w fills the block's output rows.
+    is [d*nb x o]. Rows are expanded in the fewest blocks of at most
+    BLOCK // (d*nb) of them (at least one), split evenly: the grids' float64
+    values are added in grid order and cast to float32 once, and the block
+    times w fills the block's output rows.
     Without a tape only one block's expansion exists at a time. With one, if
     w requires grad, the blocks fill one [m x d*nb] expansion, and dw is its
     transpose times dout; if x requires grad, each block keeps its grids'
@@ -373,14 +375,14 @@ def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
     if w.shape[0] != d * nb:
         raise ShapeError(f"basis_expand of {d} features with {nb} basis functions each "
                          f"needs {d * nb} rows of w, got {w.shape}")
-    step = max(1, BLOCK // max(d, 1))
+    blocks = _row_blocks(m, d * nb)
     grad_x = tape is not None and x.requires_grad
     expansion = (np.empty((m, d * nb), dtype=np.float32)
                  if tape is not None and w.requires_grad else None)
     derivs = []  # per block, if x requires grad: its summed derivatives
     out = np.empty((m, w.shape[1]), dtype=np.float32)
-    for r in range(0, m, step):
-        xb = x.data[r:r + step]
+    for a, b in blocks:
+        xb = x.data[a:b]
         flat = xb.reshape(-1).astype(np.float64)
         if grad_x:
             values, dvalues = map(_summed, zip(*(g.values_and_derivs(flat) for g in grids)))
@@ -389,17 +391,17 @@ def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
             values = _summed(g.values(flat) for g in grids)
         # allocated after the grid calls, so that it is not live during them
         block = (np.empty((len(xb), d * nb), dtype=np.float32) if expansion is None
-                 else expansion[r:r + step])
+                 else expansion[a:b])
         block.reshape(-1, nb)[...] = values
-        np.matmul(block, w.data, out=out[r:r + step])
+        np.matmul(block, w.data, out=out[a:b])
         del values, block  # not held through the next block's grid calls
     out = Tensor(out)
 
     def bwd(dout):
         dx = np.empty((m, d), dtype=np.float32) if grad_x else None
-        for r, dvalues in zip(range(0, m, step), derivs):
-            dexp = (dout[r:r + step] @ w.data.T).reshape(-1, nb)
-            dx[r:r + step].reshape(-1)[...] = np.einsum("ij,ij->i", dexp, dvalues)
+        for (a, b), dvalues in zip(blocks, derivs):
+            dexp = (dout[a:b] @ w.data.T).reshape(-1, nb)
+            dx[a:b].reshape(-1)[...] = np.einsum("ij,ij->i", dexp, dvalues)
         return dx, None if expansion is None else expansion.T @ dout
 
     return _emit(tape, out, (x, w), bwd)

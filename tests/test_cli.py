@@ -1,10 +1,17 @@
+import argparse
+import contextlib
+import io
 import json
 import math
+import tracemalloc
+import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import BROKEN_PLAIN, require_dataset, write_broken_plain_layout, write_damaged_layout
-from fckan.cli import main
+from fckan.cli import build_parser, main
 from fckan.models import ModelConfig
 from fckan.report import make_record, write_record
 from fckan.training import RunMetrics, TrainConfig, aggregate_runs
@@ -67,11 +74,11 @@ class TestParams:
         (MemoryError(), "error: MemoryError\n"),
     ])
     def test_out_of_memory_is_an_error_line(self, capsys, monkeypatch, error, line):
-        # as NumPy fails to allocate a huge model, without allocating one
-        def build_model(cfg):
+        # as a layout too large to list would fail, without listing one
+        def param_shapes(cfg):
             raise error
 
-        monkeypatch.setattr("fckan.cli.build_model", build_model)
+        monkeypatch.setattr("fckan.cli.param_shapes", param_shapes)
         assert main(["params", "--model", "efficient-kan", "--widths", "4,3"]) == 1
         assert capsys.readouterr().err == line
 
@@ -79,6 +86,19 @@ class TestParams:
         main(["params", "--model", "mlp"])
         out = capsys.readouterr().out
         assert "layer 0" in out and "layer 1" in out and "total" in out
+
+    def test_counts_a_wide_model_without_building_it(self, capsys):
+        # building mlp (784, 20000) would allocate 60 MiB of weights
+        tracemalloc.start()
+        try:
+            rc = main(["params", "--model", "mlp", "--widths", "784,20000",
+                       "--expect", "15681568", "--tolerance", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 1 << 20
+        assert "layer 0      15681568" in capsys.readouterr().out
 
 
 class TestUsageValidation:
@@ -425,3 +445,69 @@ class TestTrainToRecord:
         capsys.readouterr()
         assert main(["report", "--inputs", str(tmp_path / "old.json")]) == 0
         assert capsys.readouterr().out.splitlines()[2].startswith("| mnist | mlp | ")
+
+
+def _parser_flags() -> dict:
+    """{subcommand: [(flag, action)]} of the CLI parser's own options."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.option_strings[-1], a) for a in p._actions if a.option_strings]
+            for name, p in sub.choices.items()}
+
+
+FLAGS = _parser_flags()
+# short text with no "/", so that no drawn path leaves the working directory
+TEXT = st.text(alphabet="ab01-.,:%* ", max_size=6)
+VALUES = {  # the flags whose work grows with their value draw from small ranges
+    "n": st.integers(-1, 64).map(str),
+    "repeats": st.integers(-1, 3).map(str),
+    "epochs": st.integers(-1, 2).map(str),
+    "widths": st.lists(st.integers(-1, 9), max_size=4).map(lambda ws: ",".join(map(str, ws))),
+    "data_dir": st.sampled_from(["data", "d.json", ""]),
+    "out": st.sampled_from(["x.json", "x.csv", "missing/x.json", ""]),
+    "inputs": st.sampled_from(["*.json", "x.csv", "none.json"]),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand (or text) and up to 6 of its flags, each with a value
+    drawn for it, a text or none; bench always ends on a small --n and
+    --repeats, since its defaults time a million inputs."""
+    command = draw(st.one_of(*map(st.just, sorted(FLAGS)), TEXT))
+    argv = [command] if draw(st.integers(0, 9)) else [draw(st.sampled_from(["--version", "-h"]))]
+    for flag, action in draw(st.lists(st.sampled_from(FLAGS.get(command, FLAGS["params"])),
+                                      max_size=6)):
+        argv.append(flag)
+        if action.nargs != 0 and draw(st.integers(0, 9)):
+            value = VALUES.get(action.dest, st.sampled_from(action.choices or ["0", "1.5"]))
+            argv.append(draw(value if action.dest in ("data_dir", "out", "inputs")
+                             else value | TEXT))
+    if command == "bench":
+        argv += ["--n", draw(VALUES["n"]), "--repeats", draw(VALUES["repeats"])]
+    return argv
+
+
+class TestArgvProperty:
+    # the examples share the test's directory, where --out and fetch-data write
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argvs())
+    def test_any_argv_exits_0_1_or_2_without_a_traceback(self, tmp_path, monkeypatch, argv):
+        def no_network(url, dest):
+            raise OSError(f"no network in tests: {url}")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FCKAN_DATA_DIR", raising=False)
+        monkeypatch.setattr(urllib.request, "urlretrieve", no_network)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert rc in (0, 1, 2), argv
+        assert "Traceback" not in out + err, argv
+        if rc == 2:
+            assert err.startswith("usage: fckan") and "error: " in err, (argv, err)
+        elif rc == 1:  # a runtime error, a failed audit, no records, or a failed download
+            assert err.endswith("\n") and err.strip(), (argv, err)
+        else:
+            assert out, argv

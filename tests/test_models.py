@@ -1,10 +1,14 @@
+import functools
 import json
+import os
 import struct
+import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from bench_train_step import Kind
@@ -23,6 +27,7 @@ from fckan.models import (
     forward_mlp,
     forward_spline_kan,
     load_model,
+    param_shapes,
     save_model,
 )
 from fckan.tensor import ShapeError, Tape, Tensor, basis_expand, softmax_cross_entropy
@@ -209,6 +214,17 @@ class TestParamLayout:
         ]
         assert got == want
         assert [list(layer) for layer in model.layers] == [list(self.EXPECTED[kind])] * 2
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_param_shapes_is_the_built_layout(self, kind):
+        kw = {"functions": ("sin", "cos")} if kind == "fc-kan" else {}
+        config = ModelConfig(kind=kind, widths=(5, 4, 3, 2), **kw)
+        model = build_model(config)
+        assert [(f"layer{i}.{name}", shape, decay)
+                for i, name, shape, decay in param_shapes(config)] == [
+            (p.name, p.tensor.shape, p.decay) for p in model.params]
+        assert [model.layers[i][name] for i, name, _, _ in param_shapes(config)] == [
+            p.tensor for p in model.params]
 
 
 class TestForward:
@@ -432,10 +448,10 @@ class TestEndToEndGradients:
 
     @pytest.mark.parametrize("kind", ["efficient-kan", "bsrbf-kan"])
     def test_a_step_over_several_blocks_matches_one_block(self, kind, monkeypatch):
-        # a batch of 200 at the paper's widths is three layer-0 blocks of
-        # BLOCK // 784 rows; a BLOCK of 200 * 784 inputs makes it one
+        # a batch of 200 at the paper's widths is three layer-0 blocks of at
+        # most BLOCK // (784 * 8) rows; a BLOCK of 200 * 784 * 8 values makes it one
         m, d, nb = 200, 784, 8
-        assert -(-m // (tensor.BLOCK // d)) == 3
+        assert -(-m // (tensor.BLOCK // (d * nb))) == 3
         rng = np.random.default_rng(7)
         xb, yb = rng.random((m, d), dtype=np.float32), rng.integers(0, 10, m)
 
@@ -446,7 +462,7 @@ class TestEndToEndGradients:
             return {p.name: p.tensor.grad for p in model.params}
 
         blocked = grads()
-        monkeypatch.setattr(tensor, "BLOCK", m * d)
+        monkeypatch.setattr(tensor, "BLOCK", m * d * nb)
         for name, want in grads().items():
             # float32 GEMM rounding: a dot product of layer 0's d * nb terms
             bound = d * nb * 2.0**-23 * np.abs(want).max()
@@ -572,6 +588,71 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="bad config"):
             load_model(path)
 
+    def test_a_wide_config_is_rejected_before_anything_is_allocated(self, tmp_path):
+        # its config claims 60 MiB of weights that the file does not hold
+        path = tmp_path / "model.fckn"
+        blob = json.dumps(ModelConfig(kind="mlp", widths=(784, 20000)).to_dict()).encode()
+        path.write_bytes(b"FCKN" + struct.pack("<II", 1, len(blob)) + blob)
+        assert path.stat().st_size == 113
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.fckn"
+        save_model(build_model(toy_config("efficient-kan")), path)
+
+        def no_rng(*args):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        monkeypatch.setattr(models, "build_model", no_rng)
+        load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_rejected_by_name(self, tmp_path, value):
+        model = build_model(toy_config("fast-kan"))
+        model.layers[1]["spline_weight"].data[3, 2] = value
+        path = tmp_path / "model.fckn"
+        save_model(model, path)
+        with pytest.raises(CheckpointError, match=r"layer1\.spline_weight: .*not all finite"):
+            load_model(path)
+
+    def test_a_config_length_past_the_end_allocates_nothing(self, tmp_path):
+        path = tmp_path / "model.fckn"
+        path.write_bytes(b"FCKN" + struct.pack("<II", 1, 0xFFFFFFF0) + b"{}")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="config JSON needs 4294967280 bytes"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_a_stored_shape_other_than_the_configs_is_rejected_by_name(self, tmp_path):
+        path = tmp_path / "model.fckn"
+        save_model(build_model(toy_config("mlp")), path)
+        raw = bytearray(path.read_bytes())
+        first = 12 + struct.unpack("<I", raw[8:12])[0]  # layer0.ln_gamma's [1 x 16]
+        raw[first:first + 8] = struct.pack("<II", 16, 1)  # the same length, transposed
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError,
+                           match=r"layer0\.ln_gamma: stored shape \(16, 1\) != expected \(1, 16\)"):
+            load_model(path)
+
+    def test_extra_bytes_after_the_tensors_are_rejected(self, tmp_path):
+        path = tmp_path / "model.fckn"
+        save_model(build_model(toy_config("mlp")), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_model(path)
+
     def test_every_truncation_offset_rejected(self, tmp_path):
         model = build_model(ModelConfig(kind="mlp", widths=(4, 3, 2), seed=0))
         path = tmp_path / "model.fckn"
@@ -582,6 +663,43 @@ class TestCheckpoint:
             cut.write_bytes(raw[:n])
             with pytest.raises(CheckpointError):
                 load_model(cut)
+
+
+@functools.cache
+def _checkpoint_bytes(kind: str) -> bytes:
+    """A small checkpoint of the kind, as save_model writes it."""
+    kw = {"functions": ("sin", "cos"), "combine": "product"} if kind == "fc-kan" else {}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "model.fckn")
+        save_model(build_model(ModelConfig(kind=kind, widths=(4, 3, 2), **kw)), path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@st.composite
+def mutated_checkpoints(draw):
+    """A small checkpoint with bytes overwritten, cut off or appended."""
+    raw = bytearray(_checkpoint_bytes(draw(st.sampled_from(MODEL_KINDS))))
+    for _ in range(draw(st.integers(0, 4))):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(raw)))
+    tail = draw(st.binary(max_size=8))
+    return bytes(raw[:cut] + tail) if draw(st.booleans()) else bytes(raw)
+
+
+class TestCheckpointProperty:
+    # one file per example, rewritten in the test's own directory
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutated_checkpoints())
+    def test_mutated_bytes_load_or_raise_checkpoint_error(self, tmp_path, raw):
+        path = tmp_path / "model.fckn"
+        path.write_bytes(raw)
+        try:
+            model = load_model(path)
+        except CheckpointError:
+            return
+        assert all(np.isfinite(p.tensor.data).all() for p in model.params)
 
 
 def _single_pass_logits(model: Model, fn: str) -> np.ndarray:

@@ -239,8 +239,9 @@ def _grids_id(entry):
 
 
 class TestBasisExpand:
-    """basis_expand(tape, x, w, *grids) expands x in blocks of BLOCK // d rows
-    (at least one) and multiplies each block by w into its output rows. It
+    """basis_expand(tape, x, w, *grids) expands x in the fewest blocks of at
+    most BLOCK // (d*nb) rows (at least one), split evenly, and multiplies
+    each block by w into its output rows. It
     must give the bits of that product written out block by block: one call
     per grid over the block's inputs, their float64 values added in grid
     order and cast to float32 once, times w. With a tape, dw is one product:
@@ -249,10 +250,11 @@ class TestBasisExpand:
     that block's values pass, and sums them as it sums the values; otherwise
     it takes none."""
 
-    B = 7
+    B = 56  # float32 values of a block's expansion
     O = 3  # columns of the random w
-    # [m x d] shapes of 0 rows, one block, and several blocks of B // d rows
-    # (7 of one input, 2 of three, 1 of four or eleven), the last one short
+    # [m x d] shapes of 0 rows, one block, and several blocks of at most
+    # B // (d*nb) rows: at nb = 8, 7 of one input, 2 of three, 1 of four or
+    # eleven; at nb = 4, 14, 4, 3 and 1
     SHAPES = [(0, 3), (1, 1), (2, 3), (7, 1), (9, 1), (5, 3), (3, 4), (2, 11)]
     # single grids, then the pair a bsrbf-kan layer sums
     GRIDS = [BSplineGrid(), BSplineGrid(3, 1, -0.5, 2.0), RBFGrid(),
@@ -301,14 +303,18 @@ class TestBasisExpand:
     def blocks(self, x, grids):
         """(rows, float64 inputs, float32 [rows x d*nb] expansion) per block of x."""
         m, d = x.shape
-        step = max(1, self.B // d)
         out = []
-        for r in range(0, m, step):
-            xb = x.data[r:r + step]
-            flat = xb.ravel().astype(np.float64)
+        for a, b in self.bounds(m, d, grids[0].num_basis):
+            flat = x.data[a:b].ravel().astype(np.float64)
             e = self.summed([g.values(flat) for g in grids]).astype(np.float32)
-            out.append((slice(r, r + step), flat, e.reshape(len(xb), -1)))
+            out.append((slice(a, b), flat, e.reshape(b - a, -1)))
         return out
+
+    def bounds(self, m, d, nb):
+        """(start, stop) of the fewest blocks of at most B // (d*nb) rows (at
+        least one) over m rows, split evenly."""
+        k = -(-m // max(1, self.B // (d * nb)))
+        return [(m * i // k, m * (i + 1) // k) for i in range(k)]
 
     def product(self, x, w, grids):
         """The per-block expansion of x times w."""
@@ -384,7 +390,7 @@ class TestBasisExpand:
     def test_derivatives_once_per_block_in_the_forward_pass(self, grid, shape, calls):
         grids = _grids(grid)
         m, d = shape
-        blocks = -(-m // max(1, self.B // d))
+        blocks = len(self.bounds(m, d, grids[0].num_basis))
         x = Tensor(self.inputs(shape, grids[0]), requires_grad=True)
         w = self.weights(shape, grids)
         tape = Tape()
@@ -402,11 +408,13 @@ class TestBasisExpand:
                              ids=["no-tape", "no-x-grad", "no-grad"])
     def test_no_derivatives_without_a_tape_or_a_grad(self, grid, taped, x_grad, w_grad, calls):
         grids = _grids(grid)
-        shape = (5, 3)  # blocks of 2, 2 and 1 rows
+        shape = (5, 3)  # blocks of 1, 2 and 2 rows at nb = 8, of 2 and 3 at nb = 4
         x = Tensor(self.inputs(shape, grids[0]), requires_grad=x_grad)
         w = self.weights(shape, grids, w_grad)
         out = basis_expand(Tape() if taped else None, x, w, *grids)
-        assert calls == {f"{g.name}_values": 3 for g in grids}
+        blocks = len(self.bounds(5, 3, grids[0].num_basis))
+        assert blocks == (3 if grids[0].num_basis == 8 else 2)
+        assert calls == {f"{g.name}_values": blocks for g in grids}
         assert out.data.tobytes() == self.product(x, w, grids).tobytes()
 
     @pytest.mark.parametrize("grid", GRIDS, ids=_grids_id)
@@ -451,7 +459,7 @@ def _within(got, want, bound):
 
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(0, 9), d=st.integers(1, 6), o=st.integers(1, 4),
-       grid=st.sampled_from(TestBasisExpand.GRIDS), block=st.integers(1, 20),
+       grid=st.sampled_from(TestBasisExpand.GRIDS), block=st.integers(1, 160),
        taped=st.booleans(), identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identity, seed):
     """Any BLOCK gives the one-block product and dx within float32 GEMM
@@ -467,16 +475,16 @@ def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identi
     w = np.eye(d * nb) if identity else rng.uniform(-1, 1, (d * nb, o))
     dout = rng.uniform(-1, 1, (m, w.shape[1])).astype(np.float32)
 
-    def run(rows_of_inputs):
+    def run(values):
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         tape = Tape() if taped else None
-        with mock.patch.object(tensor, "BLOCK", rows_of_inputs):
+        with mock.patch.object(tensor, "BLOCK", values):
             out = basis_expand(tape, xt, wt, *grids)
         dx, dw = tape._nodes[-1][2](dout) if taped else (None, None)
         return out.data, dx, dw, wt.data
 
     out, dx, dw, w32 = run(block)
-    one_out, one_dx, one_dw, _ = run(tensor.BLOCK)  # m * d <= 54: one block
+    one_out, one_dx, one_dw, _ = run(tensor.BLOCK)  # m * d * nb <= 432: one block
     flat = x.astype(np.float32).ravel().astype(np.float64)
     values, derivs = zip(*(g.values_and_derivs(flat) for g in grids))
     e = np.abs(sum(values)).reshape(m, d * nb)
@@ -529,7 +537,7 @@ def _per_function(names, x, w, shared, dout):
 @example(names=list(FCKAN_FNS), m=9, d=3, o=3, shared=False, block=7, identity=True, seed=1)
 def test_unary_matmul_matches_one_op_per_function(names, m, d, o, shared, block, identity,
                                                   seed):
-    """Untaped in scratch blocks of any UNARY_BLOCK, and taped, the outputs are
+    """Untaped in scratch blocks of any BLOCK, and taped, the outputs are
     the per-function ops', and so are dx and dw, within float32 GEMM rounding;
     where w is the identity, the outputs and dx bit for bit."""
     n = len(names)
@@ -539,7 +547,7 @@ def test_unary_matmul_matches_one_op_per_function(names, m, d, o, shared, block,
     dout = rng.uniform(-1, 1, (n * m, w.shape[1])).astype(np.float32)
     ref_out, ref_dx, ref_dw = _per_function(names, x, w, shared, dout)
 
-    with mock.patch.object(tensor, "UNARY_BLOCK", block):
+    with mock.patch.object(tensor, "BLOCK", block):
         untaped = unary_matmul(None, names, Tensor(x), Tensor(w, requires_grad=True), shared)
     tape = Tape()
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
@@ -584,9 +592,9 @@ class TestUnaryMatmul:
             unary_matmul(None, ("sin", "cos"), Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 1))))
 
     def test_untaped_values_go_through_one_scratch_block_at_a_time(self, monkeypatch):
-        # UNARY_BLOCK of 7 over 3 inputs a row: blocks of at most 2 rows, the
-        # fewest of them, 3 per function, with 5 rows split evenly
-        monkeypatch.setattr(tensor, "UNARY_BLOCK", 7)
+        # a BLOCK of 7 values over 3 inputs a row: blocks of at most 2 rows,
+        # the fewest of them, 3 per function, with 5 rows split evenly
+        monkeypatch.setattr(tensor, "BLOCK", 7)
         seen, values = [], kernels.unary_values
 
         def recorded(name, x, out=None):
