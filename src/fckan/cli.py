@@ -131,7 +131,7 @@ def cmd_params(args, parser) -> int:
     if args.expect is not None:
         tolerance = count("expect", args.expect, 0) * args.tolerance / 100.0
         if abs(total - args.expect) > tolerance:
-            print(f"expected {args.expect} ± {args.tolerance}% but counted {total} "
+            print(f"error: expected {args.expect} ± {args.tolerance}% but counted {total} "
                   f"(off by {total - args.expect})", file=sys.stderr)
             return 1
         print(f"matches {args.expect} within {args.tolerance}% (off by {total - args.expect})")
@@ -143,8 +143,7 @@ def cmd_report(args, parser) -> int:
     for pattern in args.inputs:
         paths.extend(sorted(glob.glob(pattern)))
     if not paths:
-        print(f"no experiment records match {args.inputs}", file=sys.stderr)
-        return 1
+        raise ReportError(f"no experiment records match {args.inputs}")
     records = [load_record(p) for p in paths]
     table = render_report(records)
     if args.out:
@@ -175,11 +174,8 @@ def cmd_fetch_data(args, parser) -> int:
             try:
                 urllib.request.urlretrieve(url, dest)
             except Exception as e:  # noqa: BLE001 - report and keep going
-                print(
-                    f"download failed: {e}\nany mirror of the standard IDX files "
-                    f"works; place them under {target}",
-                    file=sys.stderr,
-                )
+                print(f"error: download failed: {e}; any mirror of the standard IDX files "
+                      f"works, placed under {target}", file=sys.stderr)
                 rc = 1
     return rc
 

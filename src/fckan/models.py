@@ -14,7 +14,7 @@ The passes are stacked by rows and each layer is one layer norm and one
 ``unary_matmul``: layer 0 normalises the input once and every function reads
 it; from layer 1 on, row block f holds function f's pass, and the row-wise
 layer norm normalises all the blocks in one call. ``fold_rows`` merges the
-blocks in function order.
+blocks in function order, by the config's ufunc in ``COMBINE_OPS``.
 
 Spline models expand inputs against a grid basis per layer:
 
@@ -22,7 +22,8 @@ Spline models expand inputs against a grid basis per layer:
   fast-kan       h = LN(x); silu(h) @ W_base + R(h) @ W_spline
   bsrbf-kan      h = LN(x); silu(h) @ W_base + (B(h) + R(h)) @ W_spline
 
-where B is the B-spline expansion and R the Gaussian RBF expansion.
+where B is the B-spline expansion and R the Gaussian RBF expansion; each
+layer's spline product, efficient-kan's scaler included, is one ``basis_expand``.
 """
 
 import json
@@ -44,7 +45,6 @@ from .tensor import (
     fold_rows,
     layer_norm,
     matmul,
-    repeat_rows,
     silu,
     unary_matmul,
 )
@@ -139,6 +139,9 @@ class Model:
     params: list = field(default_factory=list)  # flat, stable order
 
     def forward(self, X: Tensor, tape=None) -> Tensor:
+        d0 = self.config.widths[0]
+        if X.shape[1] != d0:
+            raise ShapeError(f"model expects {d0} input features, got {X.shape[1]}")
         return MODELS[self.config.kind].forward(self, X, tape)
 
 
@@ -192,14 +195,7 @@ def count_params(model: Model) -> int:
     return sum(p.tensor.data.size for p in model.params)
 
 
-def _check_input(model: Model, X: Tensor):
-    d0 = model.config.widths[0]
-    if X.shape[1] != d0:
-        raise ShapeError(f"model expects {d0} input features, got {X.shape[1]}")
-
-
 def forward_mlp(model: Model, X: Tensor, tape=None) -> Tensor:
-    _check_input(model, X)
     h = X
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -211,38 +207,26 @@ def forward_mlp(model: Model, X: Tensor, tape=None) -> Tensor:
 
 
 def forward_fckan(model: Model, X: Tensor, tape=None) -> Tensor:
-    _check_input(model, X)
     fns = model.config.functions
     h = X
     for i, layer in enumerate(model.layers):
         h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
         h = unary_matmul(tape, fns, h, layer["weight"], shared=i == 0)
-    return combine_outputs(tape, h, len(fns), model.config.combine)
-
-
-def combine_outputs(tape, stacked: Tensor, n: int, method: str) -> Tensor:
-    """Merge the n per-function row blocks of stacked elementwise, in order;
-    one block is stacked itself."""
-    if not isinstance(method, str) or method not in COMBINE_OPS:
-        raise ConfigError(f"combine must be one of {tuple(COMBINE_OPS)}: {method!r}")
-    return fold_rows(tape, COMBINE_OPS[method], stacked, n)
+    return fold_rows(tape, COMBINE_OPS[model.config.combine], h, len(fns))
 
 
 def forward_spline_kan(model: Model, X: Tensor, tape=None) -> Tensor:
     """silu(h) @ W_base + (sum of the grid expansions of h) @ W_spline per
     layer, where h is layer-normed if the layer has ``ln_gamma`` and W_spline
-    is scaled per input feature if it has ``spline_scaler``."""
-    _check_input(model, X)
-    nb = model.config.spline.num_basis
+    is scaled per input feature if it has ``spline_scaler``, in basis_expand."""
     h = X
     for layer in model.layers:
         if "ln_gamma" in layer:
             h = layer_norm(tape, h, layer["ln_gamma"], layer["ln_beta"])
         base = matmul(tape, silu(tape, h), layer["base_weight"])
-        w = layer["spline_weight"]
-        if "spline_scaler" in layer:
-            w = elementwise(tape, "mul", w, repeat_rows(tape, layer["spline_scaler"], nb))
-        h = elementwise(tape, "add", base, basis_expand(tape, h, w, *model.config.grids))
+        spline = basis_expand(tape, h, layer["spline_weight"], *model.config.grids,
+                              scaler=layer.get("spline_scaler"))
+        h = elementwise(tape, "add", base, spline)
     return h
 
 

@@ -352,35 +352,44 @@ def _summed(arrays):
     return functools.reduce(lambda total, a: np.add(total, a, out=a), arrays)
 
 
-def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
+def basis_expand(tape, x: Tensor, w: Tensor, *grids, scaler=None) -> Tensor:
     """(The summed grid expansion of [m x d]) @ w, giving [m x o].
 
     Each input expands to the sum of its basis vectors on one or more grids
     of one size nb (BSplineGrid, RBFGrid), and a row to its d inputs' in turn:
     [1 x d*nb], matching the row layout of the spline weight matrices, so w
-    is [d*nb x o]. Rows are expanded in the fewest blocks of at most
-    BLOCK // (d*nb) of them (at least one), split evenly: the grids' float64
-    values are added in grid order and cast to float32 once, and the block
-    times w fills the block's output rows.
+    is [d*nb x o]. A [d x o] ``scaler`` multiplies row i*nb + j of w by its
+    row i once per call: the bits of w times ``repeat_rows(scaler, nb)``
+    elementwise, and of its grads. Rows are expanded in the fewest blocks of
+    at most BLOCK // (d*nb) of them (at least one), split evenly: the grids'
+    float64 values are added in grid order and cast to float32 once, and the
+    block times the weights fills the block's output rows.
     Without a tape only one block's expansion exists at a time. With one, if
-    w requires grad, the blocks fill one [m x d*nb] expansion, and dw is its
-    transpose times dout; if x requires grad, each block keeps its grids'
-    float64 derivatives, from its values pass and summed the same way, for dx.
+    w or the scaler requires grad, the blocks fill one [m x d*nb] expansion,
+    whose transpose times dout is the weights' gradient; if x requires grad,
+    each block keeps its grids' float64 derivatives, from its values pass
+    and summed the same way, for dx.
     """
     if not grids or any(g.num_basis != grids[0].num_basis for g in grids):
         raise ShapeError("basis_expand sums one or more grids of one size, got sizes "
                          f"{[g.num_basis for g in grids]}")
     m, d = x.shape
-    nb = grids[0].num_basis
+    nb, o = grids[0].num_basis, w.shape[1]
     if w.shape[0] != d * nb:
         raise ShapeError(f"basis_expand of {d} features with {nb} basis functions each "
                          f"needs {d * nb} rows of w, got {w.shape}")
+    if scaler is not None and scaler.shape != (d, o):
+        raise ShapeError(f"basis_expand's scaler needs one row per feature, {(d, o)}, "
+                         f"got {scaler.shape}")
+    inputs = (x, w) if scaler is None else (x, w, scaler)
+    weights = (w.data if scaler is None
+               else (w.data.reshape(d, nb, o) * scaler.data[:, None, :]).reshape(d * nb, o))
     blocks = _row_blocks(m, d * nb)
     grad_x = tape is not None and x.requires_grad
     expansion = (np.empty((m, d * nb), dtype=np.float32)
-                 if tape is not None and w.requires_grad else None)
+                 if tape is not None and any(t.requires_grad for t in inputs[1:]) else None)
     derivs = []  # per block, if x requires grad: its summed derivatives
-    out = np.empty((m, w.shape[1]), dtype=np.float32)
+    out = np.empty((m, o), dtype=np.float32)
     for a, b in blocks:
         xb = x.data[a:b]
         flat = xb.reshape(-1).astype(np.float64)
@@ -393,25 +402,31 @@ def basis_expand(tape, x: Tensor, w: Tensor, *grids) -> Tensor:
         block = (np.empty((len(xb), d * nb), dtype=np.float32) if expansion is None
                  else expansion[a:b])
         block.reshape(-1, nb)[...] = values
-        np.matmul(block, w.data, out=out[a:b])
+        np.matmul(block, weights, out=out[a:b])
         del values, block  # not held through the next block's grid calls
     out = Tensor(out)
 
     def bwd(dout):
         dx = np.empty((m, d), dtype=np.float32) if grad_x else None
         for (a, b), dvalues in zip(blocks, derivs):
-            dexp = (dout[a:b] @ w.data.T).reshape(-1, nb)
+            dexp = (dout[a:b] @ weights.T).reshape(-1, nb)
             dx[a:b].reshape(-1)[...] = np.einsum("ij,ij->i", dexp, dvalues)
-        return dx, None if expansion is None else expansion.T @ dout
+        if expansion is None:
+            return (dx,) + (None,) * (len(inputs) - 1)
+        dweights = expansion.T @ dout
+        if scaler is None:
+            return dx, dweights
+        dw = dweights.reshape(d, nb, o) * scaler.data[:, None, :]
+        return dx, dw.reshape(d * nb, o), (dweights * w.data).reshape(d, nb, o).sum(axis=1)
 
-    return _emit(tape, out, (x, w), bwd)
+    return _emit(tape, out, inputs, bwd)
 
 
 def repeat_rows(tape, s: Tensor, k: int) -> Tensor:
     """Repeat each row k times: [r x c] -> [r*k x c].
 
-    Lets a per-feature scaler multiply a spline weight matrix whose rows
-    come in blocks of k basis functions per feature.
+    No model calls it: it is the tests' reference for basis_expand's
+    ``scaler``, and perfbench's tracer wraps it by name.
     """
     out = Tensor(np.repeat(s.data, k, axis=0))
     r, c = s.shape

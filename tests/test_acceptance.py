@@ -185,16 +185,17 @@ class TestC6PropertySuite:
                   f"support <= k+1")
 
     def test_combination_identities(self):
-        from fckan.models import combine_outputs, forward_fckan
+        from fckan.models import COMBINE_OPS, forward_fckan
+        from fckan.tensor import fold_rows
 
         X = Tensor(np.random.default_rng(1).uniform(-1, 1, (3, 16)).astype(np.float32))
         single = build_model(ModelConfig(kind="fc-kan", widths=(16, 8, 4),
                                          functions=("sin",)))
-        assert combine_outputs(None, X, 1, "sum") is X
+        assert fold_rows(None, COMBINE_OPS["sum"], X, 1) is X
         ones = np.ones((3, 16), dtype=np.float32)
         assert np.array_equal(
-            combine_outputs(None, Tensor(np.concatenate([X.data, ones])), 2,
-                            "product").data, X.data
+            fold_rows(None, COMBINE_OPS["product"], Tensor(np.concatenate([X.data, ones])),
+                      2).data, X.data
         )
         dup = build_model(ModelConfig(kind="fc-kan", widths=(16, 8, 4),
                                       functions=("sin", "sin")))

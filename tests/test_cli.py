@@ -47,7 +47,8 @@ class TestParams:
     def test_mismatch_fails(self, capsys):
         rc = main(["params", "--model", "mlp", "--expect", "1000"])
         assert rc == 1
-        assert "1000" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: expected 1000 ± 0.05% but counted 52512 (off by 51512)\n")
 
     def test_bad_widths_usage_error(self):
         assert main(["params", "--model", "mlp", "--widths", "78a,64"]) == 2
@@ -212,8 +213,10 @@ class TestReport:
         assert len(rows) == 2 and rows[0] == rows[1]
 
     def test_empty_glob_fails(self, tmp_path, capsys):
-        rc = main(["report", "--inputs", str(tmp_path / "none-*.json")])
+        pattern = str(tmp_path / "none-*.json")
+        rc = main(["report", "--inputs", pattern])
         assert rc == 1
+        assert capsys.readouterr().err == f"error: no experiment records match {[pattern]}\n"
 
     def test_malformed_json_names_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -286,6 +289,18 @@ class TestFetchData:
         assert len(lines) == 8  # 2 datasets x 4 files
         assert all(" -> " in ln for ln in lines)
         assert sum("fashion-mnist" in ln for ln in lines) == 4
+
+    def test_a_failed_download_is_an_error_line_per_file(self, capsys, tmp_path, monkeypatch):
+        def no_network(url, dest):
+            raise OSError("no network in tests")
+
+        monkeypatch.setattr(urllib.request, "urlretrieve", no_network)
+        rc = main(["fetch-data", "--dataset", "mnist", "--data-dir", str(tmp_path)])
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4  # one per IDX file, each tried in turn
+        assert all(ln.startswith("error: download failed: no network in tests; ")
+                   and ln.endswith(str(tmp_path / "mnist")) for ln in lines)
 
 
 class TestTrainCommand:
@@ -508,6 +523,6 @@ class TestArgvProperty:
         if rc == 2:
             assert err.startswith("usage: fckan") and "error: " in err, (argv, err)
         elif rc == 1:  # a runtime error, a failed audit, no records, or a failed download
-            assert err.endswith("\n") and err.strip(), (argv, err)
+            assert err.startswith("error: ") and err.endswith("\n"), (argv, err)
         else:
             assert out, argv

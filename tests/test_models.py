@@ -21,7 +21,6 @@ from fckan.models import (
     Model,
     ModelConfig,
     build_model,
-    combine_outputs,
     count_params,
     forward_fckan,
     forward_mlp,
@@ -66,8 +65,6 @@ class TestConfig:
         # an unhashable combine method is a ConfigError, not a TypeError
         with pytest.raises(ConfigError, match="combine"):
             ModelConfig(kind="fc-kan", functions=("sin", "cos"), combine=["sum"])
-        with pytest.raises(ConfigError, match="combine"):
-            combine_outputs(None, Tensor(np.ones((2, 2))), 2, ["sum"])
 
     def test_round_trips_through_dict(self):
         cfg = ModelConfig(
@@ -245,9 +242,11 @@ class TestForward:
         assert np.all(np.isfinite(logits.data))
 
     def test_width_mismatch(self):
-        model = build_model(toy_config("mlp"))
-        with pytest.raises(ShapeError, match="model expects 16 input features, got 8"):
-            forward_mlp(model, Tensor(np.zeros((2, 8))))
+        for kind in MODEL_KINDS:
+            kw = {"functions": ("sin", "cos")} if kind == "fc-kan" else {}
+            model = build_model(toy_config(kind, **kw))
+            with pytest.raises(ShapeError, match="model expects 16 input features, got 8"):
+                model.forward(Tensor(np.zeros((2, 8))), Tape())
 
     def test_zero_final_weights_give_zero_logits(self):
         model = build_model(toy_config("mlp"))
@@ -333,37 +332,6 @@ class TestFckanCombination:
         check_grads(loss_builder, [first["ln_gamma"], first["ln_beta"]], metric="vector")
 
 
-def _stacked(*tensors):
-    return Tensor(np.concatenate([t.data for t in tensors]))
-
-
-class TestCombineOutputs:
-    def test_product(self):
-        stacked = _stacked(Tensor([[2.0, 3.0]]), Tensor([[4.0, 5.0]]))
-        out = combine_outputs(None, stacked, 2, "product")
-        assert out.data.tolist() == [[8.0, 15.0]]
-
-    def test_singleton_sum_is_identity(self):
-        x = Tensor([[1.5, -2.0]])
-        assert combine_outputs(None, x, 1, "sum") is x
-
-    def test_product_with_ones_unchanged(self):
-        x = Tensor(RNG.uniform(-1, 1, (2, 3)))
-        out = combine_outputs(None, _stacked(x, Tensor(np.ones((2, 3)))), 2, "product")
-        assert np.array_equal(out.data, x.data)
-
-    def test_permutation_invariance(self):
-        tensors = [Tensor(RNG.uniform(0.5, 1.5, (2, 3))) for _ in range(3)]
-        for method in ("sum", "product"):
-            a = combine_outputs(None, _stacked(*tensors), 3, method).data
-            b = combine_outputs(None, _stacked(*tensors[::-1]), 3, method).data
-            assert np.allclose(a, b, rtol=1e-6)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            combine_outputs(None, Tensor(np.zeros((0, 3))), 0, "sum")
-
-
 class TestSplineForward:
     def test_zero_spline_weights_reduce_to_base_branch(self):
         model = build_model(toy_config("efficient-kan"))
@@ -380,24 +348,29 @@ class TestSplineForward:
             h = matmul(None, silu(None, h), layer["base_weight"])
         assert np.allclose(base_only, h.data, atol=1e-6)
 
-    def test_one_basis_expand_per_layer(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["efficient-kan", "fast-kan", "bsrbf-kan"])
+    def test_one_basis_expand_per_layer(self, kind, monkeypatch):
         made = []
 
-        def recorded(tape, x, w, *grids):
-            out = basis_expand(tape, x, w, *grids)
-            made.append((out, w, grids))
+        def recorded(tape, x, w, *grids, **kw):
+            out = basis_expand(tape, x, w, *grids, **kw)
+            made.append((out, w, grids, kw))
             return out
 
         monkeypatch.setattr(models, "basis_expand", recorded)
-        model = build_model(toy_config("bsrbf-kan"))
+        model = build_model(toy_config(kind))
         tape = Tape()
         model.forward(Tensor(X16), tape)
-        assert [grids for _, _, grids in made] == [model.config.grids] * len(model.layers)
-        assert all(w is layer["spline_weight"] for (_, w, _), layer in zip(made, model.layers))
-        assert all(any(output is out for output, _, _ in tape._nodes) for out, _, _ in made)
+        assert [grids for _, _, grids, _ in made] == [model.config.grids] * len(model.layers)
+        for (_, w, _, kw), layer in zip(made, model.layers):
+            # efficient-kan's layer scales its spline weight by its own scaler
+            assert w is layer["spline_weight"]
+            assert kw == {"scaler": layer.get("spline_scaler")}
+            assert (kw["scaler"] is None) == (kind != "efficient-kan")
+        assert all(any(output is out for output, _, _ in tape._nodes) for out, *_ in made)
 
     # nodes one forward records: fc-kan is the paper's, four functions by product
-    TAPE_NODES = {"mlp": 5, "fc-kan": 5, "efficient-kan": 12, "fast-kan": 10, "bsrbf-kan": 10}
+    TAPE_NODES = {"mlp": 5, "fc-kan": 5, "efficient-kan": 8, "fast-kan": 10, "bsrbf-kan": 10}
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_tape_nodes_per_forward(self, kind):
@@ -413,7 +386,7 @@ class TestSplineForward:
     PEAK_CEILINGS_MIB = {
         "mlp": (6.21, 1.32),
         "fc-kan": (6.21, 3.00),
-        "efficient-kan": (13.33, 13.66),
+        "efficient-kan": (13.33, 12.06),
         "fast-kan": (10.24, 9.69),
         "bsrbf-kan": (15.86, 20.34),
     }

@@ -1,4 +1,5 @@
 import functools
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from fckan.tensor import (
     fold_rows,
     layer_norm,
     matmul,
+    repeat_rows,
     silu,
     softmax_cross_entropy,
     unary_matmul,
@@ -450,6 +452,14 @@ class TestBasisExpand:
         with pytest.raises(ShapeError, match=rf"needs 24 rows of w, got \({rows}, 4\)"):
             basis_expand(Tape(), x, Tensor(np.zeros((rows, 4))), BSplineGrid(5, 3))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 4), (24, 4), (1, 4), (3, 1)])
+    def test_a_scaler_other_than_one_row_per_feature_is_a_shape_error(self, shape):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        message = re.escape(f"one row per feature, (3, 4), got {shape}")
+        with pytest.raises(ShapeError, match=message):
+            basis_expand(Tape(), x, Tensor(np.zeros((24, 4))), BSplineGrid(5, 3),
+                         scaler=Tensor(np.zeros(shape)))
+
 
 def _within(got, want, bound):
     """got is want up to bound elementwise, NaN where want is NaN."""
@@ -506,6 +516,44 @@ def test_basis_expand_blocks_match_one_block(m, d, o, grid, block, taped, identi
                              + casts).reshape(m, d))
     # the same expansion, whatever the blocks, times dout in one product
     assert dw.tobytes() == one_dw.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(nb=st.integers(1, 8), order=st.integers(0, 3), rbf=st.booleans(), d=st.integers(1, 4),
+       o=st.integers(1, 3), blocks=st.integers(1, 3), per=st.integers(1, 3),
+       frozen=st.tuples(st.booleans(), st.booleans(), st.booleans()), taped=st.booleans(),
+       data=st.data())
+def test_a_scaler_is_the_bits_of_a_repeat_rows_product(nb, order, rbf, d, o, blocks, per,
+                                                         frozen, taped, data):
+    """basis_expand(..., scaler=s) gives the output, dx, dw and ds of
+    basis_expand of w times repeat_rows(s, nb) elementwise, bit for bit, over
+    1-3 row blocks, with x, w or s each frozen or not."""
+    k = min(order, nb - 1)
+    grids = (BSplineGrid(nb - k, k, -1.5, 1.5),) + ((RBFGrid(nb, -1.5, 1.5),) if rbf and nb > 1
+                                                    else ())
+    m = data.draw(st.integers((blocks - 1) * per + 1, blocks * per), label="m")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.uniform(-2.5, 2.5, (m, d))
+    x[rng.random((m, d)) < 0.1] = 1.5  # the grids' end
+    w, s = rng.uniform(-1, 1, (d * nb, o)), rng.uniform(-2, 2, (d, o))
+    dout = rng.uniform(0.5, 1.5, (m, o)).astype(np.float32)
+
+    def run(scaled):
+        xt, wt, scaler = (Tensor(a, requires_grad=not f) for a, f in zip((x, w, s), frozen))
+        tape = Tape() if taped else None
+        with mock.patch.object(tensor, "BLOCK", per * d * nb):
+            assert len(tensor._row_blocks(m, d * nb)) == blocks
+            if scaled:
+                out = basis_expand(tape, xt, wt, *grids, scaler=scaler)
+            else:
+                scaled_w = elementwise(tape, "mul", wt, repeat_rows(tape, scaler, nb))
+                out = basis_expand(tape, xt, scaled_w, *grids)
+        if taped:
+            tape.backward(weighted_sum(tape, out, dout))
+        return [out.data] + [t.grad for t in (xt, wt, scaler)]
+
+    for got, want in zip(run(True), run(False)):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 FCKAN_FNS = ("sin", "cos", "arctan", "relu")
@@ -627,17 +675,35 @@ class TestFoldRows:
         assert out.data.tobytes() == chain.data.tobytes()
         assert x.grad.tobytes() == np.concatenate([p.grad for p in parts]).tobytes()
 
-    def test_one_block_is_x_itself_and_records_nothing(self):
+    @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
+    def test_one_block_is_x_itself_and_records_nothing(self, op):
         x, tape = Tensor(np.ones((2, 3)), requires_grad=True), Tape()
-        assert fold_rows(tape, np.multiply, x, 1) is x
+        assert fold_rows(tape, op, x, 1) is x
         assert len(tape) == 0
+
+    def test_product_by_hand(self):
+        out = fold_rows(None, np.multiply, Tensor([[2.0, 3.0], [4.0, 5.0]]), 2)
+        assert out.data.tolist() == [[8.0, 15.0]]
+
+    def test_product_with_ones_unchanged(self):
+        x = np.random.default_rng(0).uniform(-1, 1, (2, 3)).astype(np.float32)
+        out = fold_rows(None, np.multiply, Tensor(np.concatenate([x, np.ones((2, 3))])), 2)
+        assert out.data.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("op", [np.add, np.multiply], ids=["add", "multiply"])
+    def test_block_order_changes_only_rounding(self, op):
+        blocks = np.random.default_rng(1).uniform(0.5, 1.5, (3, 2, 3)).astype(np.float32)
+        a = fold_rows(None, op, Tensor(blocks.reshape(6, 3)), 3).data
+        b = fold_rows(None, op, Tensor(blocks[::-1].reshape(6, 3)), 3).data
+        np.testing.assert_allclose(a, b, rtol=1e-6)
 
     def test_bad_op_or_block_count(self):
         x = Tensor(np.ones((4, 3)))
         with pytest.raises(ConfigError, match="np.add or np.multiply"):
             fold_rows(None, np.subtract, x, 2)
-        with pytest.raises(ConfigError, match="one or more row blocks"):
-            fold_rows(None, np.add, x, 0)
+        for rows in (x, Tensor(np.zeros((0, 3)))):
+            with pytest.raises(ConfigError, match="one or more row blocks"):
+                fold_rows(None, np.add, rows, 0)
         with pytest.raises(ShapeError, match="4 rows do not split into 3 blocks"):
             fold_rows(None, np.add, x, 3)
 
